@@ -35,7 +35,7 @@ from .metrics import (
     optimal_state_probability,
     sampling_rank,
 )
-from .optimize import ObjectiveKind, OptimizerConfig, final_sampling, minimize, objective
+from .optimize import ObjectiveKind, OptimizerConfig, final_distribution, minimize, objective
 from .simcore import DensityMatrix, NoiseModel, ShotHistogram, StateVector, sample
 
 __version__ = "0.1.0"

@@ -298,10 +298,9 @@ def circuit_gates(
     ising: IsingCoefficients,
     params: ParameterPoint,
     scale: float,
-    include_init: bool = True,
 ) -> list[GateOp]:
     """Full gate list of the parameterized circuit, dumpable as JSON records."""
-    gates = init_circuit(spec) if include_init else []
+    gates = init_circuit(spec)
     for gamma, beta in zip(params.gamma, params.beta):
         gates.extend(cost_circuit(ising, gamma, scale))
         gates.extend(mixer_circuit(spec, beta))
@@ -356,7 +355,6 @@ def evolve(
     scale: float = 1.0,
     noise: NoiseModel | None = None,
     noisy_init: bool = True,
-    op_counter: dict | None = None,
 ) -> State:
     """Run the p-layer alternation of cost and mixer from the initial state.
 
@@ -375,11 +373,7 @@ def evolve(
         state = prepare_initial_state(spec, "statevector")
         for gamma, beta in zip(params.gamma, params.beta):
             apply_diagonal_phase(state, cost, gamma, scale)
-            if op_counter is not None:
-                op_counter["cost"] = op_counter.get("cost", 0) + 1
             apply_mixer_layer(state, spec, beta)
-            if op_counter is not None:
-                op_counter["mixer"] = op_counter.get("mixer", 0) + 1
         return state
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")
@@ -392,10 +386,6 @@ def evolve(
     for gamma, beta in zip(params.gamma, params.beta):
         for op in cost_circuit(cost, gamma, scale):
             apply_gate(state, op, noise)
-        if op_counter is not None:
-            op_counter["cost"] = op_counter.get("cost", 0) + 1
         for op in mixer_circuit(spec, beta):
             apply_gate(state, op, noise)
-        if op_counter is not None:
-            op_counter["mixer"] = op_counter.get("mixer", 0) + 1
     return state

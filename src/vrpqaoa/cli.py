@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -29,6 +30,7 @@ from .encode import (
     default_energy_scale,
     ising_as_dict,
     penalize,
+    penalty_terms,
     qubo_as_dict,
     to_ising,
 )
@@ -45,11 +47,10 @@ from .optimize import (
     ObjectiveKind,
     OptimizerConfig,
     final_distribution,
-    final_sampling,
     minimize,
     write_trace_csv,
 )
-from .simcore import NoiseModel, ShotHistogram
+from .simcore import NoiseModel, ShotHistogram, sample
 
 REGIMES = ("I", "II", "III")
 
@@ -172,13 +173,11 @@ def run_single(
     opt_seed, final_seed = (int(v) for v in seed_seq.generate_state(2, np.uint64))
     cfg = replace(opt_cfg, seed=opt_seed)
     result = minimize(spec, problem.cost, kind, cfg)
-    hist = final_sampling(
-        spec, problem.cost, result.params, kind, cfg, rng=np.random.default_rng(final_seed)
-    )
+    dist = final_distribution(spec, problem.cost, result.params, kind)
+    hist = sample(dist, cfg.shots_final, np.random.default_rng(final_seed))
     measured = run_metrics(
         hist, problem.oracle.feasible_optima, problem.qubo, problem.oracle.feasible_cost
     )
-    dist = final_distribution(spec, problem.cost, result.params, kind, with_readout=True)
     return RunRecord(
         model=model,
         lam=lam,
@@ -273,6 +272,16 @@ class ExperimentConfig:
             raise ValueError("regime III requires a noise model")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.depth < 1:
+            raise ValueError(f"depth (--p) must be >= 1, got {self.depth}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for lam in self.lambdas:
+            if lam < 0:
+                raise ValueError(f"lambda {lam:g} is negative; lambdas must be >= 0")
+            # derive_run_seed keys runs by round(lambda * 1000)
+            if not math.isclose(lam * 1000, round(lam * 1000), rel_tol=0.0, abs_tol=1e-6):
+                raise ValueError(f"lambda {lam!r} is not a multiple of 0.001")
 
     def cells(self) -> list[tuple[str, float | None]]:
         out: list[tuple[str, float | None]] = []
@@ -414,27 +423,17 @@ def encode_report(path: str, penalty: float | None = None, scale: float | None =
 
     terms = []
     for c in cs:
-        if c.relation == "equal":
-            constant = c.rhs * c.rhs
-            linear = {idx.name(q): 1 - 2 * c.rhs for q in c.variables}
-            quadratic = {
-                f"{idx.name(a)}*{idx.name(b)}": 2
-                for pos, a in enumerate(c.variables)
-                for b in c.variables[pos + 1 :]
-            }
-        else:
-            a, b = c.variables
-            constant = 1
-            linear = {idx.name(a): -1, idx.name(b): -1}
-            quadratic = {f"{idx.name(a)}*{idx.name(b)}": 1}
+        constant, linear, quadratic = penalty_terms(c)
         terms.append(
             {
                 "label": c.label,
                 "relation": c.relation,
                 "rhs": c.rhs,
                 "constant": constant,
-                "linear": linear,
-                "quadratic": quadratic,
+                "linear": {idx.name(q): coeff for q, coeff in linear.items()},
+                "quadratic": {
+                    f"{idx.name(a)}*{idx.name(b)}": coeff for (a, b), coeff in quadratic.items()
+                },
             }
         )
     return {

@@ -13,7 +13,8 @@ by the sign of the linear field h.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +22,10 @@ import numpy as np
 from .instance import (
     BRUTE_FORCE_LIMIT,
     EQUAL,
+    TIE_TOL,
     ConstraintSet,
     InstanceTooLargeError,
+    LinearConstraint,
     LinkVariableIndex,
     VrpInstance,
     _as_values,
@@ -59,6 +62,33 @@ def default_penalty(inst: VrpInstance) -> float:
     return 2.0 * sum(abs(inst.distance(i, j)) for i in range(m) for j in range(m) if i != j)
 
 
+def penalty_terms(
+    c: LinearConstraint, weight: float = 1
+) -> tuple[float, dict[int, float], dict[tuple[int, int], float]]:
+    """Expansion of ``weight`` times one constraint's penalty.
+
+    Equalities sum(x) = r expand to (sum(x) - r)^2 with x^2 = x applied;
+    two-variable at-least-1 constraints expand to (1-x)*(1-y).  At-least
+    constraints over more than two variables have no quadratic product
+    form and are rejected.  Returns (constant, {q: linear}, {(a, b):
+    quadratic}) with pairs in variable order; an integer weight keeps the
+    coefficients integer for printing.
+    """
+    if c.relation == EQUAL:
+        return (
+            weight * c.rhs * c.rhs,
+            {q: weight * (1 - 2 * c.rhs) for q in c.variables},
+            {pair: 2 * weight for pair in itertools.combinations(c.variables, 2)},
+        )
+    if len(c.variables) != 2 or c.rhs != 1:
+        raise ValueError(
+            f"at-least constraint {c.label!r} is not in the supported "
+            "two-variable >= 1 form"
+        )
+    a, b = c.variables
+    return weight, {a: -weight, b: -weight}, {(a, b): weight}
+
+
 def penalize(
     inst: VrpInstance,
     cs: ConstraintSet,
@@ -66,10 +96,7 @@ def penalize(
 ) -> QuboProblem:
     """Fold the constraints into the link-cost objective as quadratic penalties.
 
-    Equalities sum(x) = r expand to P*(sum(x) - r)^2 with x^2 = x applied;
-    two-variable at-least-1 constraints expand to P*(1-x)*(1-y).  At-least
-    constraints over more than two variables have no quadratic product
-    form and are rejected.
+    Each constraint contributes P times its :func:`penalty_terms`.
     """
     m = inst.node_count
     idx = LinkVariableIndex.for_nodes(m)
@@ -83,42 +110,22 @@ def penalize(
     linear = [0.0] * idx.n
     quadratic: dict[tuple[int, int], float] = {}
 
-    def add_quad(i: int, j: int, coeff: float) -> None:
-        key = (i, j) if i < j else (j, i)
-        quadratic[key] = quadratic.get(key, 0.0) + coeff
-
     for q, (i, j) in enumerate(idx.links):
         linear[q] += inst.distance(i, j)
 
     for c in cs:
-        if c.relation == EQUAL:
-            constant += p * c.rhs * c.rhs
-            for q in c.variables:
-                linear[q] += p * (1 - 2 * c.rhs)
-            for a, b in _pairs(c.variables):
-                add_quad(a, b, 2.0 * p)
-        else:
-            if len(c.variables) != 2 or c.rhs != 1:
-                raise ValueError(
-                    f"at-least constraint {c.label!r} is not in the supported "
-                    "two-variable >= 1 form"
-                )
-            a, b = c.variables
-            constant += p
-            linear[a] -= p
-            linear[b] -= p
-            add_quad(a, b, p)
+        term_constant, term_linear, term_quadratic = penalty_terms(c, p)
+        constant += term_constant
+        for q, coeff in term_linear.items():
+            linear[q] += coeff
+        for (a, b), coeff in term_quadratic.items():
+            key = (a, b) if a < b else (b, a)
+            quadratic[key] = quadratic.get(key, 0.0) + coeff
 
     quadratic = {k: v for k, v in quadratic.items() if v != 0.0}
     return QuboProblem(
         n=idx.n, constant=constant, linear=tuple(linear), quadratic=quadratic, penalty=p
     )
-
-
-def _pairs(variables: Sequence[int]):
-    for a_pos in range(len(variables)):
-        for b_pos in range(a_pos + 1, len(variables)):
-            yield variables[a_pos], variables[b_pos]
 
 
 def qubo_value(qubo: QuboProblem, bits: str | Sequence[int]) -> float:
@@ -203,9 +210,9 @@ class CostOperator:
     def value(self, bits: str) -> float:
         return float(self.diagonal[int(bits, 2)])
 
-    def argmin_bitstrings(self, tie_tol: float = 1e-9) -> tuple[str, ...]:
+    def argmin_bitstrings(self) -> tuple[str, ...]:
         best = float(self.diagonal.min())
-        hits = np.flatnonzero(self.diagonal <= best + tie_tol)
+        hits = np.flatnonzero(self.diagonal <= best + TIE_TOL)
         return tuple(format(int(i), f"0{self.n}b") for i in hits)
 
 

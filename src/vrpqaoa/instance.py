@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -24,31 +25,33 @@ if TYPE_CHECKING:  # pragma: no cover
 EQUAL = "equal"
 AT_LEAST = "at-least"
 
-#: Largest node count for which subtour subsets are enumerated.
-DEFAULT_SUBTOUR_NODE_BUDGET = 6
+#: Largest supported node count.  From four nodes on, subtour constraints
+#: span more than two variables and have no quadratic penalty form.
+MAX_NODES = 3
 
 #: Largest variable count accepted by exhaustive enumeration.
 BRUTE_FORCE_LIMIT = 24
 
+#: Values within this distance of a minimum count as tied for it.
+TIE_TOL = 1e-9
+
 
 class InstanceTooLargeError(ValueError):
-    """Instance exceeds an enumeration budget (subtour subsets or 2^n scan)."""
-
-
-def bitstring_index(bits: str) -> int:
-    """Integer index of a printed bitstring (leftmost character = bit 0 = MSB)."""
-    return int(bits, 2)
+    """Instance exceeds the supported size."""
 
 
 def index_bitstring(index: int, n: int) -> str:
-    """Inverse of :func:`bitstring_index`."""
+    """Printed bitstring of an integer index (leftmost character = bit 0 = MSB)."""
     return format(index, f"0{n}b")
 
 
+@lru_cache(maxsize=64)
 def _bit_column(n: int, q: int) -> np.ndarray:
-    """Value of variable q across all 2^n assignment indices."""
+    """Value of variable q across all 2^n assignment indices (shared, read-only)."""
     idx = np.arange(1 << n, dtype=np.int64)
-    return (idx >> (n - 1 - q)) & 1
+    column = (idx >> (n - 1 - q)) & 1
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class VrpInstance:
         m = len(self.distances)
         if m < 2:
             raise ValueError("need at least a depot and one customer")
+        if m > MAX_NODES:
+            raise InstanceTooLargeError(
+                f"{m} nodes exceeds the supported limit of {MAX_NODES} nodes"
+            )
         if any(len(row) != m for row in self.distances):
             raise ValueError("distance matrix must be square")
         if any(w < 0 for row in self.distances for w in row):
@@ -156,10 +163,7 @@ class ConstraintSet:
         return len(self.constraints)
 
 
-def build_constraints(
-    inst: VrpInstance,
-    subtour_node_budget: int = DEFAULT_SUBTOUR_NODE_BUDGET,
-) -> ConstraintSet:
+def build_constraints(inst: VrpInstance) -> ConstraintSet:
     """Degree, visit, and subtour-elimination constraints of an instance.
 
     Emission order: depot in-degree, depot out-degree, per-customer
@@ -171,10 +175,6 @@ def build_constraints(
     the lexicographic link order.
     """
     m = inst.node_count
-    if m > subtour_node_budget:
-        raise InstanceTooLargeError(
-            f"{m} nodes exceeds the subtour enumeration budget ({subtour_node_budget})"
-        )
     idx = LinkVariableIndex.for_nodes(m)
     k = inst.vehicles
     constraints: list[LinearConstraint] = []
@@ -236,8 +236,6 @@ def route_cost(bits: str | Sequence[int], inst: VrpInstance) -> float:
 
 def feasibility_mask(cs: ConstraintSet, n: int) -> np.ndarray:
     """Boolean feasibility of all 2^n assignments, vectorized."""
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(f"{n} variables exceeds the enumeration limit")
     mask = np.ones(1 << n, dtype=bool)
     for c in cs:
         total = np.zeros(1 << n, dtype=np.int64)
@@ -258,45 +256,30 @@ class BruteForceResult:
     feasible_count: int
 
 
-def brute_force_optimum(
-    inst: VrpInstance,
-    qubo: "QuboProblem",
-    tie_tol: float = 1e-9,
-) -> BruteForceResult:
+def brute_force_optimum(inst: VrpInstance, qubo: "QuboProblem") -> BruteForceResult:
     """Scan all 2^n assignments for the QUBO minimum and the feasible cost minimum.
 
     The feasible side is computed from the raw constraints and link costs,
     independently of the penalty encoding, so it doubles as an oracle for it.
     """
-    n = qubo.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(f"{n} variables exceeds the enumeration limit")
-    cs = build_constraints(inst)
-    cols = [_bit_column(n, q).astype(float) for q in range(n)]
+    from .encode import to_cost_operator  # encode imports this module
 
-    values = np.full(1 << n, qubo.constant)
-    for q, coeff in enumerate(qubo.linear):
-        if coeff:
-            values += coeff * cols[q]
-    for (i, j), coeff in qubo.quadratic.items():
-        if coeff:
-            values += coeff * cols[i] * cols[j]
-    qubo_min = float(values.min())
-    qubo_argmin = tuple(
-        index_bitstring(int(i), n) for i in np.flatnonzero(values <= qubo_min + tie_tol)
-    )
+    n = qubo.n
+    qubo_values = to_cost_operator(qubo)
+    qubo_min = float(qubo_values.diagonal.min())
+    qubo_argmin = qubo_values.argmin_bitstrings()
 
     idx = LinkVariableIndex.for_nodes(inst.node_count)
     costs = np.zeros(1 << n)
     for q, (i, j) in enumerate(idx.links):
         w = inst.distance(i, j)
         if w:
-            costs += w * cols[q]
-    feasible = feasibility_mask(cs, n)
+            costs += w * _bit_column(n, q)
+    feasible = feasibility_mask(build_constraints(inst), n)
     count = int(feasible.sum())
     if count == 0:
         return BruteForceResult(qubo_argmin, qubo_min, (), math.inf, 0)
     best = float(costs[feasible].min())
-    winners = feasible & (costs <= best + tie_tol)
+    winners = feasible & (costs <= best + TIE_TOL)
     optima = tuple(index_bitstring(int(i), n) for i in np.flatnonzero(winners))
     return BruteForceResult(qubo_argmin, qubo_min, optima, best, count)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,19 +23,18 @@ from .ansatz import (
     evolve,
 )
 from .encode import CompiledCost
-from .simcore import (
-    NoiseModel,
-    ShotHistogram,
-    apply_readout_confusion,
-    measure_distribution,
-    sample,
-)
+from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
 
 EXACT_EXPECTATION = "exact_expectation"
 SHOT_ESTIMATE = "shot_estimate"
 NOISY_SHOT_ESTIMATE = "noisy_shot_estimate"
 
 _KINDS = (EXACT_EXPECTATION, SHOT_ESTIMATE, NOISY_SHOT_ESTIMATE)
+
+#: Offset of each coordinate of the initial Nelder-Mead simplex.
+NM_STEP = 0.25
+#: The simplex stops once both its values and its vertices lie this close.
+NM_SPREAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class ObjectiveKind:
     kind: str
     noise: NoiseModel | None = None
     noisy_init: bool = True
-    readout_in_objective: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -90,13 +88,10 @@ def final_distribution(
     cost: CompiledCost,
     params: ParameterPoint,
     kind: ObjectiveKind,
-    with_readout: bool | None = None,
 ) -> np.ndarray:
     """Measurement distribution at the given angles under the regime's engine.
 
-    ``with_readout`` defaults to the kind's objective-time setting; final
-    sampling passes True explicitly so readout confusion is always present
-    in reported histograms of the noisy regime.
+    In the noisy regime it includes the noise model's readout confusion.
     """
     if kind.kind == NOISY_SHOT_ESTIMATE:
         state = evolve(
@@ -109,8 +104,7 @@ def final_distribution(
             noisy_init=kind.noisy_init,
         )
         probs = measure_distribution(state)
-        use_readout = kind.readout_in_objective if with_readout is None else with_readout
-        if use_readout and kind.noise is not None and kind.noise.has_readout_error:
+        if kind.noise.has_readout_error:
             probs = apply_readout_confusion(probs, kind.noise.p01, kind.noise.p10)
         return probs
     state = evolve(spec, cost.phase_diagonal, params, engine="exact", scale=cost.scale)
@@ -145,14 +139,12 @@ def nelder_mead(
     lower: np.ndarray,
     upper: np.ndarray,
     max_evals: int,
-    step: float = 0.25,
-    spread_tol: float = 1e-12,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Nelder-Mead simplex with box clamping on every trial point.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    The initial simplex offsets each coordinate by ``step`` (flipped to
-    ``-step`` where that would leave the box).  Returns the best point
+    The initial simplex offsets each coordinate by ``NM_STEP`` (flipped to
+    ``-NM_STEP`` where that would leave the box).  Returns the best point
     evaluated within the budget together with the full evaluation history.
     """
     lower = np.asarray(lower, dtype=float)
@@ -173,7 +165,7 @@ def nelder_mead(
     simplex = [x0.copy()]
     for i in range(dim):
         vertex = x0.copy()
-        vertex[i] = vertex[i] + step if vertex[i] + step <= upper[i] else vertex[i] - step
+        vertex[i] = vertex[i] + NM_STEP if vertex[i] + NM_STEP <= upper[i] else vertex[i] - NM_STEP
         simplex.append(np.clip(vertex, lower, upper))
     values = []
     for vertex in simplex:
@@ -186,9 +178,9 @@ def nelder_mead(
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if values[-1] - values[0] < spread_tol and max(
+        if values[-1] - values[0] < NM_SPREAD_TOL and max(
             float(np.max(np.abs(v - simplex[0]))) for v in simplex
-        ) < spread_tol:
+        ) < NM_SPREAD_TOL:
             break
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = np.clip(centroid + alpha * (centroid - simplex[-1]), lower, upper)
@@ -234,7 +226,6 @@ class OptimizeResult:
     objective: float
     trace: list[tuple[int, int, float]]
     evaluations: int
-    restart_candidates: list[tuple[ParameterPoint, float]] = field(default_factory=list)
 
 
 def _parameter_bounds(depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,26 +282,7 @@ def minimize(
         objective=float(scores[winner]),
         trace=trace,
         evaluations=total_evals,
-        restart_candidates=candidates,
     )
-
-
-def final_sampling(
-    spec: AnsatzSpec,
-    cost: CompiledCost,
-    best_params: ParameterPoint,
-    kind: ObjectiveKind,
-    cfg: OptimizerConfig,
-    rng: int | np.random.Generator,
-) -> ShotHistogram:
-    """Draw the reporting histogram at the optimized angles.
-
-    All regimes report shot histograms; the exact regime samples from its
-    exact distribution so metric semantics stay uniform.  Readout confusion
-    is always applied here when the noise model carries it.
-    """
-    probs = final_distribution(spec, cost, best_params, kind, with_readout=True)
-    return sample(probs, cfg.shots_final, rng)
 
 
 def write_trace_csv(trace: Sequence[tuple[int, int, float]], path: str) -> None:

@@ -17,17 +17,22 @@ from typing import Sequence, Union
 import numpy as np
 
 from .encode import CostOperator
-from .instance import index_bitstring
+from .instance import _bit_column, index_bitstring
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-ONE_QUBIT_GATES = ("h", "x", "rx", "rz")
-TWO_QUBIT_GATES = ("cnot", "rzz", "rxx", "ryy")
-
-# Gates carrying depolarizing noise when a NoiseModel is active.  Plain X
-# and CNOT (state preparation only) are deliberately absent.
-NOISY_1Q = frozenset({"h", "rx", "rz"})
-NOISY_2Q = frozenset({"rzz", "rxx", "ryy"})
+#: Gate name -> (qubit count, carries depolarizing noise when a NoiseModel
+#: is active).  Plain X and CNOT (state preparation only) stay noiseless.
+GATES = {
+    "h": (1, True),
+    "x": (1, False),
+    "rx": (1, True),
+    "rz": (1, True),
+    "cnot": (2, False),
+    "rzz": (2, True),
+    "rxx": (2, True),
+    "ryy": (2, True),
+}
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -83,27 +88,13 @@ class GateOp:
         return record
 
 
-_SPIN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _spin_column(n: int, q: int) -> np.ndarray:
-    """+1 / -1 per basis index according to bit q (0 maps to +1)."""
-    key = (n, q)
-    cached = _SPIN_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(1 << n, dtype=np.int64)
-        cached = 1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1)
-        _SPIN_CACHE[key] = cached
-    return cached
-
-
 def _z_phase_vector(n: int, qubits: Sequence[int], angle: float) -> np.ndarray:
     """Diagonal of RZ / RZZ expanded over the full basis."""
-    spins = _spin_column(n, qubits[0])
+    parity = _bit_column(n, qubits[0])
     if len(qubits) == 2:
-        spins = spins * _spin_column(n, qubits[1])
+        parity = parity ^ _bit_column(n, qubits[1])
     half = angle / 2.0
-    return np.where(spins > 0, np.exp(-1j * half), np.exp(1j * half))
+    return np.where(parity == 0, np.exp(-1j * half), np.exp(1j * half))
 
 
 def _apply_phase_diagonal(state: "State", phases: np.ndarray) -> None:
@@ -210,47 +201,12 @@ def _apply_matrix_dm(rho: np.ndarray, n: int, mat: np.ndarray, qubits: Sequence[
     return out.reshape(rho.shape)
 
 
-def _apply_unitary(state: State, mat: np.ndarray, qubits: Sequence[int]) -> None:
+def _check_targets(n: int, qubits: Sequence[int]) -> None:
     for q in qubits:
-        if not 0 <= q < state.n:
-            raise ValueError(f"qubit index {q} out of range for {state.n} qubits")
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
     if len(set(qubits)) != len(qubits):
         raise ValueError("gate targets must be distinct qubits")
-    if isinstance(state, StateVector):
-        state.amplitudes = _apply_matrix_sv(state.amplitudes, state.n, mat, qubits)
-    else:
-        state.rho = _apply_matrix_dm(state.rho, state.n, mat, qubits)
-
-
-def apply_1q(state: State, qubit: int, name: str, angle: float | None = None) -> State:
-    if name not in ONE_QUBIT_GATES:
-        raise ValueError(f"{name!r} is not a one-qubit gate")
-    if name == "rz":
-        if angle is None:
-            raise ValueError("gate 'rz' needs an angle")
-        if not 0 <= qubit < state.n:
-            raise ValueError(f"qubit index {qubit} out of range for {state.n} qubits")
-        _apply_phase_diagonal(state, _z_phase_vector(state.n, (qubit,), angle))
-        return state
-    _apply_unitary(state, gate_matrix(name, angle), (qubit,))
-    return state
-
-
-def apply_2q(state: State, qubit_a: int, qubit_b: int, name: str, angle: float | None = None) -> State:
-    if name not in TWO_QUBIT_GATES:
-        raise ValueError(f"{name!r} is not a two-qubit gate")
-    if qubit_a == qubit_b:
-        raise ValueError("gate targets must be distinct qubits")
-    if name == "rzz":
-        if angle is None:
-            raise ValueError("gate 'rzz' needs an angle")
-        for q in (qubit_a, qubit_b):
-            if not 0 <= q < state.n:
-                raise ValueError(f"qubit index {q} out of range for {state.n} qubits")
-        _apply_phase_diagonal(state, _z_phase_vector(state.n, (qubit_a, qubit_b), angle))
-        return state
-    _apply_unitary(state, gate_matrix(name, angle), (qubit_a, qubit_b))
-    return state
 
 
 @dataclass(frozen=True)
@@ -338,9 +294,7 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
     if lam == 0.0:
         return state
     n = state.n
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    _check_targets(n, qubits)
     if not state.rho.flags["C_CONTIGUOUS"]:
         state.rho = np.ascontiguousarray(state.rho)
     tensor = state.rho.reshape([2] * (2 * n))  # view: updates land in state.rho
@@ -355,19 +309,28 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
 
 def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> State:
     """Apply one instruction, attaching the depolarizing channel if requested."""
-    if len(op.qubits) == 1:
-        apply_1q(state, op.qubits[0], op.name, op.angle)
-    elif len(op.qubits) == 2:
-        apply_2q(state, op.qubits[0], op.qubits[1], op.name, op.angle)
+    if op.name not in GATES:
+        raise ValueError(f"unknown gate {op.name!r}")
+    arity, noisy = GATES[op.name]
+    if len(op.qubits) != arity:
+        raise ValueError(f"{op.name!r} acts on {arity} qubit(s), got {len(op.qubits)}")
+    _check_targets(state.n, op.qubits)
+    if op.name in ("rz", "rzz"):
+        if op.angle is None:
+            raise ValueError(f"gate {op.name!r} needs an angle")
+        _apply_phase_diagonal(state, _z_phase_vector(state.n, op.qubits, op.angle))
+    elif isinstance(state, StateVector):
+        state.amplitudes = _apply_matrix_sv(
+            state.amplitudes, state.n, gate_matrix(op.name, op.angle), op.qubits
+        )
     else:
-        raise ValueError("gates act on one or two qubits")
+        state.rho = _apply_matrix_dm(state.rho, state.n, gate_matrix(op.name, op.angle), op.qubits)
     if noise is not None and (noise.p1 > 0 or noise.p2 > 0):
         if not isinstance(state, DensityMatrix):
             raise TypeError("gate noise requires the density-matrix engine")
-        if op.name in NOISY_1Q and noise.p1 > 0:
-            depolarize(state, op.qubits, noise.p1)
-        elif op.name in NOISY_2Q and noise.p2 > 0:
-            depolarize(state, op.qubits, noise.p2)
+        p = noise.p1 if arity == 1 else noise.p2
+        if noisy and p > 0:
+            depolarize(state, op.qubits, p)
     return state
 
 
@@ -377,11 +340,7 @@ def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: 
         raise ValueError("scale must be positive")
     if diag.n != state.n:
         raise ValueError("cost diagonal does not match the state size")
-    phases = np.exp(-1j * gamma * diag.diagonal / scale)
-    if isinstance(state, StateVector):
-        state.amplitudes = state.amplitudes * phases
-    else:
-        state.rho = state.rho * phases[:, None] * phases.conj()[None, :]
+    _apply_phase_diagonal(state, np.exp(-1j * gamma * diag.diagonal / scale))
     return state
 
 
@@ -423,12 +382,6 @@ class ShotHistogram:
         total = sum(self.counts.values())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
-
-    def frequency(self, bits: str) -> float:
-        return self.counts.get(bits, 0) / self.shots
-
-    def frequencies(self) -> dict[str, float]:
-        return {bits: c / self.shots for bits, c in self.counts.items()}
 
 
 def sample(probs: np.ndarray, shots: int, rng: int | np.random.Generator) -> ShotHistogram:

@@ -300,18 +300,6 @@ class TestEvolve:
             )
             assert pattern_violation_probability(probs, spec.xy_pairs) <= 1e-10
 
-    def test_layer_counts(self, toy):
-        spec = AnsatzSpec.standard(6, 3)
-        counter: dict = {}
-        evolve(
-            spec,
-            toy.cost.phase_diagonal,
-            ParameterPoint.random(3, np.random.default_rng(1)),
-            scale=toy.cost.scale,
-            op_counter=counter,
-        )
-        assert counter == {"cost": 3, "mixer": 3}
-
     def test_lambda_one_reduces_to_standard(self, toy):
         # no xy pairs, uniform init, full-weight X terms: identical circuits
         reduced = AnsatzSpec(

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import FEASIBLE, FEASIBLE_COST
@@ -9,17 +10,19 @@ from vrpqaoa.cli import (
     NOISE_PRESETS,
     build_experiment_config,
     build_parser,
+    build_problem,
     derive_run_seed,
     encode_report,
     load_instance,
     main,
     regime_objective_kind,
     run_experiment,
+    run_single,
     solve_report,
     toy_instance_path,
 )
 from vrpqaoa.optimize import OptimizerConfig
-from vrpqaoa.simcore import NoiseModel
+from vrpqaoa.simcore import NoiseModel, sample
 
 FAST_OPT = {"restarts": 1, "max_evals": 12}
 
@@ -178,6 +181,17 @@ class TestRunExperiment:
         assert len(records) == 1
         assert records[0].metrics.optimal_probability >= 0.0
 
+    @pytest.mark.parametrize("regime", ["I", "III"])
+    def test_histogram_is_drawn_from_the_recorded_distribution(self, regime):
+        problem = build_problem(load_instance(toy_instance_path()))
+        kind = regime_objective_kind(regime, NOISE_PRESETS["paper"])
+        cfg = OptimizerConfig(restarts=1, max_evals=8, shots_final=256)
+        record = run_single(problem, "constraint_aware", 0.7, 1, 3, kind, cfg, 5)
+        seed_seq = derive_run_seed(5, "constraint_aware", 0.7, 3)
+        _, final_seed = (int(v) for v in seed_seq.generate_state(2, np.uint64))
+        expected = sample(record.distribution, cfg.shots_final, np.random.default_rng(final_seed))
+        assert record.histogram == expected
+
     def test_save_traces(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0,), ansatz="standard", save_traces=True)
         run_experiment(cfg)
@@ -232,6 +246,28 @@ class TestCommandLine:
     def test_run_rejects_missing_instance(self, capsys):
         assert main(["run", "--regime", "I"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_solve_rejects_four_nodes(self, tmp_path, capsys):
+        four = tmp_path / "four.json"
+        dist = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
+        four.write_text(json.dumps({"distances": dist, "vehicles": 1}))
+        assert main(["solve", str(four)]) == 2
+        assert "4 nodes exceeds the supported limit of 3 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--p", "0"], "depth (--p) must be >= 1, got 0"),
+            (["--lambda", "-0.5"], "lambda -0.5 is negative"),
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--lambda", "0.7,0.7004"], "lambda 0.7004 is not a multiple of 0.001"),
+        ],
+    )
+    def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
+        argv = ["run", "--instance", toy_instance_path(), "--out", str(tmp_path / "out")]
+        assert main(argv + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solve_reports_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

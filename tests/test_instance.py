@@ -89,10 +89,12 @@ class TestBuildConstraints:
         }
 
     def test_subtour_budget_guard(self):
-        m = 7
-        dist = tuple(tuple(0.0 if i == j else 1.0 for j in range(m)) for i in range(m))
-        with pytest.raises(InstanceTooLargeError):
-            build_constraints(VrpInstance(distances=dist, vehicles=1))
+        for m in (4, 7):
+            dist = tuple(tuple(0.0 if i == j else 1.0 for j in range(m)) for i in range(m))
+            with pytest.raises(
+                InstanceTooLargeError, match=f"{m} nodes exceeds the supported limit of 3 nodes"
+            ):
+                build_constraints(VrpInstance(distances=dist, vehicles=1))
 
     def test_out_degree_constraints_precede_in_degree(self, toy_instance):
         # the greedy XY matching depends on this ordering

@@ -10,13 +10,12 @@ from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
     final_distribution,
-    final_sampling,
     minimize,
     nelder_mead,
     objective,
     write_trace_csv,
 )
-from vrpqaoa.simcore import NoiseModel
+from vrpqaoa.simcore import NoiseModel, sample
 
 PAPER_NOISE = NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
 
@@ -222,18 +221,19 @@ class TestFinalSampling:
         spec = AnsatzSpec(
             kind="constraint_aware", n=6, depth=0, init_support=(FEASIBLE,)
         )
-        hist = final_sampling(
-            spec, toy.cost, ParameterPoint((), ()), ObjectiveKind.exact(),
-            OptimizerConfig(shots_final=256), rng=0,
+        hist = sample(
+            final_distribution(spec, toy.cost, ParameterPoint((), ()), ObjectiveKind.exact()),
+            256, rng=0,
         )
         assert hist.counts == {FEASIBLE: 256}
 
     def test_deterministic_given_seed(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.5,), (0.4,))
-        cfg = OptimizerConfig()
-        a = final_sampling(spec, toy.cost, params, ObjectiveKind.exact(), cfg, rng=3)
-        b = final_sampling(spec, toy.cost, params, ObjectiveKind.exact(), cfg, rng=3)
+        shots = OptimizerConfig().shots_final
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.exact())
+        a = sample(probs, shots, rng=3)
+        b = sample(probs, shots, rng=3)
         assert a.counts == b.counts
 
     def test_standard_run_finds_optimum_as_mode(self, toy):
@@ -242,9 +242,9 @@ class TestFinalSampling:
         spec = AnsatzSpec.standard(6, 3)
         cfg = OptimizerConfig(seed=0)
         result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
-        hist = final_sampling(
-            spec, toy.cost, result.params, ObjectiveKind.exact(), cfg,
-            rng=np.random.default_rng(0),
+        hist = sample(
+            final_distribution(spec, toy.cost, result.params, ObjectiveKind.exact()),
+            cfg.shots_final, rng=np.random.default_rng(0),
         )
         mode = max(hist.counts, key=hist.counts.get)
         assert mode == FEASIBLE

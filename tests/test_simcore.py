@@ -10,8 +10,6 @@ from vrpqaoa.simcore import (
     NoiseModel,
     ShotHistogram,
     StateVector,
-    apply_1q,
-    apply_2q,
     apply_diagonal_phase,
     apply_gate,
     apply_readout_confusion,
@@ -76,35 +74,35 @@ class TestGateMatrices:
 
 class TestSingleQubitOps:
     def test_hadamard_makes_plus_state(self):
-        state = apply_1q(StateVector(1), 0, "h")
+        state = apply_gate(StateVector(1), GateOp("h", (0,)))
         assert np.allclose(state.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
 
     def test_rx_pi_flips_with_global_phase(self):
-        state = apply_1q(StateVector(1), 0, "rx", math.pi)
+        state = apply_gate(StateVector(1), GateOp("rx", (0,), math.pi))
         assert np.allclose(state.amplitudes, [0.0, -1j], atol=1e-12)
 
     def test_rz_preserves_probabilities(self):
         state = StateVector(3, RNG.normal(size=8) + 1j * RNG.normal(size=8))
         state.amplitudes /= state.norm()
         before = state.probabilities()
-        apply_1q(state, 1, "rz", 0.93)
+        apply_gate(state, GateOp("rz", (1,), 0.93))
         assert np.allclose(state.probabilities(), before, atol=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_1q(StateVector(2), 2, "h")
+            apply_gate(StateVector(2), GateOp("h", (2,)))
 
     def test_norm_preserved(self):
         state = StateVector(4)
         for q in range(4):
-            apply_1q(state, q, "h")
-            apply_1q(state, q, "rx", 0.3 * (q + 1))
+            apply_gate(state, GateOp("h", (q,)))
+            apply_gate(state, GateOp("rx", (q,), 0.3 * (q + 1)))
         assert state.norm() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTwoQubitOps:
     def test_rzz_even_parity_phase(self):
-        state = apply_2q(StateVector(2), 0, 1, "rzz", 0.8)
+        state = apply_gate(StateVector(2), GateOp("rzz", (0, 1), 0.8))
         assert state.amplitudes[0] == pytest.approx(np.exp(-1j * 0.4), abs=1e-12)
 
     def test_xy_block_swaps_01_10(self):
@@ -117,8 +115,8 @@ class TestTwoQubitOps:
             )
             expected = hermitian_expm(beta * (xx + yy))
             state = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))
-            apply_2q(state, 0, 1, "rxx", 2 * beta)
-            apply_2q(state, 0, 1, "ryy", 2 * beta)
+            apply_gate(state, GateOp("rxx", (0, 1), 2 * beta))
+            apply_gate(state, GateOp("ryy", (0, 1), 2 * beta))
             assert np.allclose(state.amplitudes, expected[:, 1], atol=1e-12)
             # explicit form on |01>: cos(2b)|01> - i sin(2b)|10>
             assert state.amplitudes[1] == pytest.approx(math.cos(2 * beta), abs=1e-12)
@@ -126,18 +124,39 @@ class TestTwoQubitOps:
 
     def test_xy_block_fixes_00(self):
         state = StateVector(2)
-        apply_2q(state, 0, 1, "rxx", 1.7)
-        apply_2q(state, 0, 1, "ryy", 1.7)
+        apply_gate(state, GateOp("rxx", (0, 1), 1.7))
+        apply_gate(state, GateOp("ryy", (0, 1), 1.7))
         assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_cnot(self):
         state = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))
-        apply_2q(state, 0, 1, "cnot")
+        apply_gate(state, GateOp("cnot", (0, 1)))
         assert np.allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-12)
 
     def test_identical_targets_rejected(self):
         with pytest.raises(ValueError):
-            apply_2q(StateVector(2), 1, 1, "rzz", 0.3)
+            apply_gate(StateVector(2), GateOp("rzz", (1, 1), 0.3))
+
+
+class TestApplyGateErrors:
+    @pytest.mark.parametrize(
+        "op,message",
+        [
+            (GateOp("swap", (0, 1)), "unknown gate"),
+            (GateOp("h", (0, 1)), "acts on 1 qubit"),
+            (GateOp("cnot", (0,)), "acts on 2 qubit"),
+            (GateOp("rz", (2,), 0.1), "out of range"),
+            (GateOp("rx", (2,), 0.1), "out of range"),
+            (GateOp("rxx", (1, 1), 0.1), "distinct"),
+            (GateOp("rz", (0,)), "needs an angle"),
+            (GateOp("rzz", (0, 1)), "needs an angle"),
+            (GateOp("ryy", (0, 1)), "needs an angle"),
+        ],
+    )
+    def test_rejected_on_both_engines(self, op, message):
+        for state in (StateVector(2), DensityMatrix(2)):
+            with pytest.raises(ValueError, match=message):
+                apply_gate(state, op)
 
 
 class TestDiagonalPhase:
