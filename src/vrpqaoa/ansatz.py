@@ -216,11 +216,6 @@ class ParameterPoint:
     def depth(self) -> int:
         return len(self.gamma)
 
-    def clamped(self) -> "ParameterPoint":
-        g = tuple(min(max(v, GAMMA_BOUNDS[0]), GAMMA_BOUNDS[1]) for v in self.gamma)
-        b = tuple(min(max(v, BETA_BOUNDS[0]), BETA_BOUNDS[1]) for v in self.beta)
-        return ParameterPoint(gamma=g, beta=b)
-
     def as_vector(self) -> np.ndarray:
         return np.array(self.gamma + self.beta, dtype=float)
 

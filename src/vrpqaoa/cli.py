@@ -17,7 +17,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Callable, Sequence
+from types import UnionType
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,19 +90,15 @@ class Problem:
     oracle: BruteForceResult
 
 
-def build_problem(
-    inst: VrpInstance, penalty: float | None = None, scale: float | None = None
-) -> Problem:
+def build_problem(inst: VrpInstance) -> Problem:
     cs = build_constraints(inst)
-    qubo = penalize(inst, cs, penalty)
-    cost = CompiledCost.from_qubo(qubo, scale)
+    qubo = penalize(inst, cs)
+    cost = CompiledCost.from_qubo(qubo)
     oracle = brute_force_optimum(inst, qubo)
     return Problem(instance=inst, constraints=cs, qubo=qubo, cost=cost, oracle=oracle)
 
 
-def regime_objective_kind(
-    regime: str, noise: NoiseModel | None, noisy_init: bool = True
-) -> ObjectiveKind:
+def regime_objective_kind(regime: str, noise: NoiseModel | None) -> ObjectiveKind:
     if regime == "I":
         return ObjectiveKind.exact()
     if regime == "II":
@@ -109,7 +106,7 @@ def regime_objective_kind(
     if regime == "III":
         if noise is None:
             raise ValueError("regime III needs a noise model")
-        return ObjectiveKind.noisy(noise, noisy_init=noisy_init)
+        return ObjectiveKind.noisy(noise)
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -218,20 +215,19 @@ def run_cells(
         for seed in seeds
     ]
     records: dict[tuple[str, float | None, int], RunRecord] = {}
+
+    def keep(record: RunRecord) -> None:
+        records[(record.model, record.lam, record.seed)] = record
+        if on_record is not None:
+            on_record(record)
+
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_task, task): task for task in tasks}
-            for future in as_completed(futures):
-                record = future.result()
-                records[(record.model, record.lam, record.seed)] = record
-                if on_record is not None:
-                    on_record(record)
+            for future in as_completed([pool.submit(_run_task, task) for task in tasks]):
+                keep(future.result())
     else:
         for task in tasks:
-            record = _run_task(task)
-            records[(record.model, record.lam, record.seed)] = record
-            if on_record is not None:
-                on_record(record)
+            keep(_run_task(task))
     return [records[(model, lam, seed)] for model, lam in cells for seed in seeds]
 
 
@@ -253,11 +249,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     noise: NoiseModel | None = None
-    noisy_init: bool = True
     master_seed: int = 0
     output_dir: str = "results"
-    penalty: float | None = None
-    scale: float | None = None
     workers: int | None = None
     save_traces: bool = False
 
@@ -276,12 +269,17 @@ class ExperimentConfig:
             raise ValueError(f"depth (--p) must be >= 1, got {self.depth}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        keys = set()
         for lam in self.lambdas:
             if lam < 0:
                 raise ValueError(f"lambda {lam:g} is negative; lambdas must be >= 0")
-            # derive_run_seed keys runs by round(lambda * 1000)
-            if not math.isclose(lam * 1000, round(lam * 1000), rel_tol=0.0, abs_tol=1e-6):
+            # derive_run_seed and the run-file name key runs by round(lambda * 1000)
+            key = round(lam * 1000)
+            if not math.isclose(lam * 1000, key, rel_tol=0.0, abs_tol=1e-6):
                 raise ValueError(f"lambda {lam!r} is not a multiple of 0.001")
+            if key in keys:
+                raise ValueError(f"lambda {lam:g} is repeated")
+            keys.add(key)
 
     def cells(self) -> list[tuple[str, float | None]]:
         out: list[tuple[str, float | None]] = []
@@ -303,16 +301,10 @@ def _cell_label(model: str, lam: float | None) -> str:
 def aggregate_rows(records: list[RunRecord]) -> list[dict]:
     """One row per sweep cell with mean/std/CI for each metric."""
     by_cell: dict[tuple[str, float | None], list[RunRecord]] = {}
-    order: list[tuple[str, float | None]] = []
     for record in records:
-        key = (record.model, record.lam)
-        if key not in by_cell:
-            by_cell[key] = []
-            order.append(key)
-        by_cell[key].append(record)
+        by_cell.setdefault((record.model, record.lam), []).append(record)
     rows = []
-    for model, lam in order:
-        cell = by_cell[(model, lam)]
+    for (model, lam), cell in by_cell.items():
         values = {
             "p_opt": [r.metrics.optimal_probability for r in cell],
             "gap": [r.metrics.energy_gap for r in cell],
@@ -320,18 +312,11 @@ def aggregate_rows(records: list[RunRecord]) -> list[dict]:
         }
         row: dict = {"model": model, "lambda": "" if lam is None else _fmt(lam)}
         for name, data in values.items():
-            if len(data) >= 2:
-                agg = aggregate(data)
-                row[f"{name}_mean"] = _fmt(agg.mean)
-                row[f"{name}_std"] = _fmt(agg.std)
-                row[f"{name}_ci_low"] = _fmt(agg.ci_low)
-                row[f"{name}_ci_high"] = _fmt(agg.ci_high)
-            else:
-                # spread statistics are undefined for a single run
-                row[f"{name}_mean"] = _fmt(data[0])
-                row[f"{name}_std"] = ""
-                row[f"{name}_ci_low"] = ""
-                row[f"{name}_ci_high"] = ""
+            # spread statistics are undefined for a single run
+            agg = aggregate(data) if len(data) >= 2 else None
+            row[f"{name}_mean"] = _fmt(data[0] if agg is None else agg.mean)
+            for stat in ("std", "ci_low", "ci_high"):
+                row[f"{name}_{stat}"] = "" if agg is None else _fmt(getattr(agg, stat))
         rows.append(row)
     return rows
 
@@ -361,9 +346,8 @@ def write_plot_csv(rows: list[dict], regime: str, path: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """Execute the configured sweep and persist all result files."""
-    inst = load_instance(cfg.instance_path)
-    problem = build_problem(inst, cfg.penalty, cfg.scale)
-    kind = regime_objective_kind(cfg.regime, cfg.noise, cfg.noisy_init)
+    problem = build_problem(load_instance(cfg.instance_path))
+    kind = regime_objective_kind(cfg.regime, cfg.noise)
 
     runs_dir = os.path.join(cfg.output_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
@@ -398,9 +382,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 
 
 def solve_report(path: str) -> dict:
-    inst = load_instance(path)
-    problem = build_problem(inst)
-    oracle = problem.oracle
+    oracle = build_problem(load_instance(path)).oracle
     return {
         "feasible_optima": list(oracle.feasible_optima),
         "feasible_cost": oracle.feasible_cost,
@@ -477,92 +459,104 @@ def _print_encode_report(report: dict, out=None) -> None:
     print(f"\nenergy scale s = {report['scale']:g}", file=out)
 
 
-def _parse_lambdas(text: str) -> tuple[float, ...]:
+def lambda_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
+def seed_list(text: str) -> int | tuple[int, ...]:
+    """A seed count, or a comma-separated list of seeds."""
     if "," in text:
         return tuple(int(v) for v in text.split(",") if v.strip())
-    return tuple(range(int(text)))
+    return int(text)
+
+
+#: ``run`` flag (argparse dest) -> the config key it overrides.
+RUN_FLAG_KEYS = {
+    "instance": "instance",
+    "regime": "regime",
+    "lambdas": "lambdas",
+    "p": "depth",
+    "seeds": "seeds",
+    "ansatz": "ansatz",
+    "shots_final": "optimizer.shots_final",
+    "noise_preset": "noise",
+    "out": "output_dir",
+    "workers": "workers",
+}
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _typed(key: str, value, hint):
+    """``value`` if it has the field type ``hint``; otherwise a ValueError naming ``key``."""
+    if get_origin(hint) is UnionType:  # X | None
+        return None if value is None else _typed(key, value, get_args(hint)[0])
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        return tuple(_typed(key, v, get_args(hint)[0]) for v in value)
+    # a JSON int is a valid float, a JSON bool is no number
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def _fields(cls: type, payload, section: str | None = None, exclude: tuple[str, ...] = ()) -> dict:
+    """Checked keyword arguments for the dataclass ``cls`` from a config object.
+
+    The accepted keys are the fields of ``cls`` except ``exclude``; a key that
+    is left out keeps its field default.
+    """
+    hints = {k: v for k, v in get_type_hints(cls).items() if k not in exclude}
+    prefix = "" if section is None else f"{section}."
+    for key in _object(payload, f"config key {section!r}"):
+        if key not in hints:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+    return {key: _typed(prefix + key, value, hints[key]) for key, value in payload.items()}
 
 
 def _noise_from_value(value) -> NoiseModel | None:
-    if value is None:
-        return None
     if isinstance(value, str):
         if value not in NOISE_PRESETS:
             raise ValueError(f"unknown noise preset {value!r}")
         return NOISE_PRESETS[value]
-    return NoiseModel(
-        p1=float(value.get("p1", 0.0)),
-        p2=float(value.get("p2", 0.0)),
-        p01=float(value.get("p01", 0.0)),
-        p10=float(value.get("p10", 0.0)),
-    )
-
-
-def config_from_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return None if value is None else NoiseModel(**_fields(NoiseModel, value, "noise"))
 
 
 def build_experiment_config(file_cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
-    """Merge a JSON config file with command-line overrides."""
-    merged = dict(file_cfg)
-    if args.instance is not None:
-        merged["instance"] = args.instance
-    if args.regime is not None:
-        merged["regime"] = args.regime
-    if args.lambdas is not None:
-        merged["lambdas"] = list(_parse_lambdas(args.lambdas))
-    if args.p is not None:
-        merged["depth"] = args.p
-    if args.seeds is not None:
-        merged["seeds"] = list(_parse_seeds(args.seeds))
-    if args.ansatz is not None:
-        merged["ansatz"] = args.ansatz
-    if args.shots_final is not None:
-        merged.setdefault("optimizer", {})
-        merged["optimizer"] = dict(merged["optimizer"])
-        merged["optimizer"]["shots_final"] = args.shots_final
-    if args.noise_preset is not None:
-        merged["noise"] = args.noise_preset
-    if args.out is not None:
-        merged["output_dir"] = args.out
-    if args.workers is not None:
-        merged["workers"] = args.workers
+    """Merge a JSON config file with command-line overrides.
 
-    if "instance" not in merged:
+    The accepted keys are the fields of :class:`ExperimentConfig`, with
+    ``instance`` for ``instance_path``, and under ``optimizer`` those of
+    :class:`OptimizerConfig` except ``seed``: each run derives its optimizer
+    seed from ``master_seed``.  Any other key, or a value of the wrong type,
+    is a ValueError that names the key.
+    """
+    merged = dict(_object(file_cfg, "the config"))
+    merged["optimizer"] = dict(_object(merged.get("optimizer", {}), "config key 'optimizer'"))
+    for dest, key in RUN_FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            section, _, leaf = key.rpartition(".")
+            (merged[section] if section else merged)[leaf] = value
+
+    instance = merged.pop("instance", None)
+    if instance is None:
         raise ValueError("no instance file given (config 'instance' or --instance)")
-    opt = merged.get("optimizer", {})
-    optimizer = OptimizerConfig(
-        restarts=int(opt.get("restarts", 5)),
-        max_evals=int(opt.get("max_evals", 150)),
-        shots_objective=int(opt.get("shots_objective", 1024)),
-        batches=int(opt.get("batches", 3)),
-        shots_final=int(opt.get("shots_final", 4096)),
-        seed=int(opt.get("seed", 0)),
+    if type(merged.get("seeds")) is int:  # a seed count
+        merged["seeds"] = tuple(range(merged["seeds"]))
+    merged["noise"] = _noise_from_value(merged.get("noise"))
+    merged["optimizer"] = OptimizerConfig(
+        **_fields(OptimizerConfig, merged["optimizer"], "optimizer", exclude=("seed",))
     )
-    seeds = merged.get("seeds", list(DEFAULT_SEEDS))
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
     return ExperimentConfig(
-        instance_path=merged["instance"],
-        regime=str(merged.get("regime", "I")),
-        ansatz=str(merged.get("ansatz", "both")),
-        lambdas=tuple(float(v) for v in merged.get("lambdas", DEFAULT_LAMBDAS)),
-        depth=int(merged.get("depth", DEFAULT_DEPTH)),
-        seeds=tuple(int(s) for s in seeds),
-        optimizer=optimizer,
-        noise=_noise_from_value(merged.get("noise")),
-        noisy_init=bool(merged.get("noisy_init", True)),
-        master_seed=int(merged.get("master_seed", 0)),
-        output_dir=str(merged.get("output_dir", "results")),
-        penalty=merged.get("penalty"),
-        scale=merged.get("scale"),
-        workers=merged.get("workers"),
-        save_traces=bool(merged.get("save_traces", False)),
+        instance_path=_typed("instance", instance, str),
+        **_fields(ExperimentConfig, merged, exclude=("instance_path",)),
     )
 
 
@@ -586,9 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="experiment config JSON")
     p_run.add_argument("--instance", help="instance JSON file (overrides config)")
     p_run.add_argument("--regime", choices=REGIMES)
-    p_run.add_argument("--lambda", dest="lambdas", help="comma-separated lambda values")
+    p_run.add_argument(
+        "--lambda", dest="lambdas", type=lambda_list, help="comma-separated lambda values"
+    )
     p_run.add_argument("--p", type=int, help="circuit depth")
-    p_run.add_argument("--seeds", help="seed count or comma-separated seed list")
+    p_run.add_argument("--seeds", type=seed_list, help="seed count or comma-separated seed list")
     p_run.add_argument("--ansatz", choices=(STANDARD, CONSTRAINT_AWARE, "both"))
     p_run.add_argument("--shots-final", type=int, dest="shots_final")
     p_run.add_argument("--noise-preset", choices=sorted(NOISE_PRESETS), dest="noise_preset")
@@ -616,7 +612,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                     json.dump(report, fh, indent=1, sort_keys=True)
                     fh.write("\n")
         else:
-            file_cfg = config_from_file(args.config) if args.config else {}
+            file_cfg = {}
+            if args.config:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    file_cfg = json.load(fh)
             cfg = build_experiment_config(file_cfg, args)
             records = run_experiment(cfg)
             print(f"wrote {len(records)} run records to {cfg.output_dir}")

@@ -71,12 +71,21 @@ class VrpInstance:
             )
         if any(len(row) != m for row in self.distances):
             raise ValueError("distance matrix must be square")
-        if any(w < 0 for row in self.distances for w in row):
-            raise ValueError("distances must be nonnegative")
+        for i, row in enumerate(self.distances):
+            for j, w in enumerate(row):
+                if not (math.isfinite(w) and w >= 0):
+                    raise ValueError(
+                        f"distance [{i}][{j}] is {w}; distances must be finite and nonnegative"
+                    )
         if any(self.distances[i][i] != 0 for i in range(m)):
             raise ValueError("diagonal of the distance matrix must be zero")
         if self.vehicles < 1:
             raise ValueError("vehicle count must be >= 1")
+        if self.vehicles > m - 1:
+            raise ValueError(
+                f"{self.vehicles} vehicles exceed the {m - 1} customers; "
+                "every vehicle must visit at least one customer"
+            )
 
     @property
     def node_count(self) -> int:
@@ -92,7 +101,10 @@ class VrpInstance:
     @classmethod
     def from_dict(cls, payload: dict) -> "VrpInstance":
         distances = tuple(tuple(float(w) for w in row) for row in payload["distances"])
-        return cls(distances=distances, vehicles=int(payload["vehicles"]))
+        vehicles = payload["vehicles"]
+        if not isinstance(vehicles, (int, float)) or not float(vehicles).is_integer():
+            raise ValueError(f"vehicles must be a whole number, got {vehicles!r}")
+        return cls(distances=distances, vehicles=int(vehicles))
 
     @classmethod
     def from_json(cls, path: str) -> "VrpInstance":

@@ -75,8 +75,8 @@ class ObjectiveKind:
         return cls(kind=SHOT_ESTIMATE)
 
     @classmethod
-    def noisy(cls, noise: NoiseModel, noisy_init: bool = True) -> "ObjectiveKind":
-        return cls(kind=NOISY_SHOT_ESTIMATE, noise=noise, noisy_init=noisy_init)
+    def noisy(cls, noise: NoiseModel) -> "ObjectiveKind":
+        return cls(kind=NOISY_SHOT_ESTIMATE, noise=noise)
 
     @property
     def stochastic(self) -> bool:
@@ -133,6 +133,10 @@ def objective(
     return float(np.mean(batch_means)) / cost.scale
 
 
+class _BudgetSpent(Exception):
+    """Raised by :func:`nelder_mead`'s ``evaluate`` once the budget is used."""
+
+
 def nelder_mead(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -156,6 +160,8 @@ def nelder_mead(
 
     def evaluate(x: np.ndarray) -> float:
         nonlocal best_x, best_f
+        if len(history) >= max_evals:
+            raise _BudgetSpent
         fx = float(f(x))
         history.append(fx)
         if fx < best_f:
@@ -167,56 +173,44 @@ def nelder_mead(
         vertex = x0.copy()
         vertex[i] = vertex[i] + NM_STEP if vertex[i] + NM_STEP <= upper[i] else vertex[i] - NM_STEP
         simplex.append(np.clip(vertex, lower, upper))
-    values = []
-    for vertex in simplex:
-        if len(history) >= max_evals:
-            return best_x, best_f, history
-        values.append(evaluate(vertex))
+
+    def along(coef: float) -> np.ndarray:  # on the line from the worst vertex via the centroid
+        return np.clip(centroid + coef * (centroid - simplex[-1]), lower, upper)
 
     alpha, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
-    while len(history) < max_evals:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] < NM_SPREAD_TOL and max(
-            float(np.max(np.abs(v - simplex[0]))) for v in simplex
-        ) < NM_SPREAD_TOL:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = np.clip(centroid + alpha * (centroid - simplex[-1]), lower, upper)
-        fr = evaluate(reflected)
-        if fr < values[0]:
-            if len(history) < max_evals:
-                expanded = np.clip(centroid + chi * (centroid - simplex[-1]), lower, upper)
-                fe = evaluate(expanded)
-                if fe < fr:
-                    simplex[-1], values[-1] = expanded, fe
-                else:
-                    simplex[-1], values[-1] = reflected, fr
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            if fr < values[-1]:
-                contracted = np.clip(centroid + psi * (centroid - simplex[-1]), lower, upper)
-                shrink_anchor = fr
-            else:
-                contracted = np.clip(centroid - psi * (centroid - simplex[-1]), lower, upper)
-                shrink_anchor = values[-1]
-            if len(history) >= max_evals:
+    try:
+        values = [evaluate(vertex) for vertex in simplex]
+        while True:
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            if values[-1] - values[0] < NM_SPREAD_TOL and max(
+                float(np.max(np.abs(v - simplex[0]))) for v in simplex
+            ) < NM_SPREAD_TOL:
                 break
-            fc = evaluate(contracted)
-            if fc < shrink_anchor:
-                simplex[-1], values[-1] = contracted, fc
+            centroid = np.mean(simplex[:-1], axis=0)
+            reflected = along(alpha)
+            fr = evaluate(reflected)
+            if fr < values[0]:
+                expanded = along(chi)
+                fe = evaluate(expanded)
+                simplex[-1], values[-1] = (expanded, fe) if fe < fr else (reflected, fr)
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = reflected, fr
             else:
-                for i in range(1, len(simplex)):
-                    if len(history) >= max_evals:
-                        return best_x, best_f, history
-                    simplex[i] = np.clip(
-                        simplex[0] + sigma * (simplex[i] - simplex[0]), lower, upper
-                    )
-                    values[i] = evaluate(simplex[i])
+                outside = fr < values[-1]
+                contracted = along(psi if outside else -psi)
+                fc = evaluate(contracted)
+                if fc < (fr if outside else values[-1]):
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    for i in range(1, len(simplex)):
+                        simplex[i] = np.clip(
+                            simplex[0] + sigma * (simplex[i] - simplex[0]), lower, upper
+                        )
+                        values[i] = evaluate(simplex[i])
+    except _BudgetSpent:
+        pass
     return best_x, best_f, history
 
 
@@ -255,19 +249,17 @@ def minimize(
 
     trace: list[tuple[int, int, float]] = []
     candidates: list[tuple[ParameterPoint, float]] = []
-    total_evals = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng(children[r])
         start = ParameterPoint.random(spec.depth, rng).as_vector()
 
         def f(vec: np.ndarray) -> float:
-            point = ParameterPoint.from_vector(vec).clamped()
+            point = ParameterPoint.from_vector(vec)
             return objective(point, spec, cost, kind, cfg, rng=rng if kind.stochastic else None)
 
         best_x, best_f, history = nelder_mead(f, start, lower, upper, cfg.max_evals)
         trace.extend((r, i, v) for i, v in enumerate(history))
-        total_evals += len(history)
-        candidates.append((ParameterPoint.from_vector(best_x).clamped(), best_f))
+        candidates.append((ParameterPoint.from_vector(best_x), best_f))
 
     if kind.stochastic:
         scores = [
@@ -281,7 +273,7 @@ def minimize(
         params=candidates[winner][0],
         objective=float(scores[winner]),
         trace=trace,
-        evaluations=total_evals,
+        evaluations=len(trace),
     )
 
 

@@ -115,12 +115,6 @@ class TestAnsatzSpec:
 
 
 class TestParameterPoint:
-    def test_clamping(self):
-        point = ParameterPoint(gamma=(5.0, -5.0), beta=(-1.0, 3.0))
-        clamped = point.clamped()
-        assert clamped.gamma == (math.pi, -math.pi)
-        assert clamped.beta == (0.0, math.pi / 2)
-
     def test_vector_round_trip(self):
         point = ParameterPoint(gamma=(0.1, 0.2), beta=(0.3, 0.4))
         assert ParameterPoint.from_vector(point.as_vector()) == point

@@ -261,6 +261,7 @@ class TestCommandLine:
             (["--lambda", "-0.5"], "lambda -0.5 is negative"),
             (["--workers", "0"], "workers must be >= 1, got 0"),
             (["--lambda", "0.7,0.7004"], "lambda 0.7004 is not a multiple of 0.001"),
+            (["--lambda", "0.7,0.7"], "lambda 0.7 is repeated"),
         ],
     )
     def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
@@ -268,6 +269,68 @@ class TestCommandLine:
         assert main(argv + flags) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"lamdbas": [0.5]}, "unknown config key 'lamdbas'"),
+            ({"noisy_init": False}, "unknown config key 'noisy_init'"),
+            ({"penalty": 400.0}, "unknown config key 'penalty'"),
+            ({"scale": 500.0}, "unknown config key 'scale'"),
+            ({"optimizer": {"seed": 3}}, "unknown config key 'optimizer.seed'"),
+            ({"regime": "III", "noise": {"p_1": 0.1}}, "unknown config key 'noise.p_1'"),
+            ({"depth": 2.5}, "config key 'depth' must be int, got 2.5"),
+            ([{"depth": 1}], "the config must be a JSON object"),
+        ],
+    )
+    def test_run_rejects_bad_config_file(self, tmp_path, capsys, config, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(config_path), "--instance", toy_instance_path(),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_of_defaults_matches_empty_config(self, tmp_path):
+        defaults = {
+            "instance": toy_instance_path(),
+            "regime": "I",
+            "ansatz": "both",
+            "lambdas": [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+            "depth": 4,
+            "seeds": list(range(30)),
+            "optimizer": {"restarts": 5, "max_evals": 150, "shots_objective": 1024,
+                          "batches": 3, "shots_final": 4096},
+            "noise": None,
+            "master_seed": 0,
+            "output_dir": "results",
+            "workers": None,
+            "save_traces": False,
+        }
+        # the flags shrink both sweeps to one short run
+        flags = ["--instance", toy_instance_path(), "--ansatz", "standard", "--p", "1",
+                 "--seeds", "1"]
+        outputs = {}
+        for name, config in (("empty", {}), ("defaults", defaults)):
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(["run", "--config", str(config_path), "--out", str(out)] + flags) == 0
+            outputs[name] = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            }
+        assert len(outputs["empty"]) == 3
+        assert outputs["defaults"] == outputs["empty"]
+
+    def test_solve_rejects_non_finite_distance(self, tmp_path, capsys):
+        payload = load_instance(toy_instance_path()).to_dict()
+        payload["distances"][1][2] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["solve", str(bad)]) == 2
+        assert "distance [1][2] is nan; distances must be finite" in capsys.readouterr().err
 
     def test_solve_reports_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

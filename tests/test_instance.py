@@ -27,7 +27,7 @@ class TestInstanceValidation:
             VrpInstance(distances=((0.0, 1.0), (1.0, 0.0, 2.0)), vehicles=1)
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"distance \[0\]\[1\] is -1.0"):
             VrpInstance(distances=((0.0, -1.0), (1.0, 0.0)), vehicles=1)
 
     def test_rejects_nonzero_diagonal(self):
@@ -37,6 +37,28 @@ class TestInstanceValidation:
     def test_rejects_zero_vehicles(self):
         with pytest.raises(ValueError):
             VrpInstance(distances=((0.0, 1.0), (1.0, 0.0)), vehicles=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_distance(self, bad):
+        distances = ((0.0, 4.7, 1.0), (1.0, 0.0, 1.0), (1.0, bad, 0.0))
+        message = rf"distance \[2\]\[1\] is {bad}; distances must be finite and nonnegative"
+        with pytest.raises(ValueError, match=message):
+            VrpInstance(distances=distances, vehicles=1)
+
+    def test_rejects_more_vehicles_than_customers(self):
+        with pytest.raises(ValueError, match="3 vehicles exceed the 2 customers"):
+            VrpInstance(distances=((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)),
+                        vehicles=3)
+
+    @pytest.mark.parametrize("bad", [1.7, "2", None])
+    def test_from_dict_rejects_non_integral_vehicles(self, bad):
+        payload = {"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "vehicles": bad}
+        with pytest.raises(ValueError, match=f"vehicles must be a whole number, got {bad!r}"):
+            VrpInstance.from_dict(payload)
+
+    def test_from_dict_accepts_integral_float_vehicles(self):
+        payload = {"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "vehicles": 2.0}
+        assert VrpInstance.from_dict(payload).vehicles == 2
 
 
 class TestLinkVariableIndex:
