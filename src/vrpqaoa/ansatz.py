@@ -5,19 +5,20 @@ assignments satisfying the two-variable exactly-one constraints and mixes
 with XY blocks on a matched subset of those constraints plus weighted X
 rotations elsewhere, so the protected one-hot structure survives the
 evolution while the remaining qubits stay free to change Hamming weight.
+Standard QAOA is the same family with no constraints and full-weight X.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .encode import CostOperator, IsingCoefficients
-from .instance import EQUAL, ConstraintSet, LinearConstraint
+from .instance import EQUAL, ConstraintSet, LinearConstraint, index_bitstring
 from .simcore import (
     DensityMatrix,
     GateOp,
@@ -28,6 +29,7 @@ from .simcore import (
     apply_gate,
 )
 
+#: Run-model labels of the two ansaetze compared in a sweep.
 STANDARD = "standard"
 CONSTRAINT_AWARE = "constraint_aware"
 
@@ -51,7 +53,6 @@ class ConstraintComponent:
 class ConstraintGroups:
     components: tuple[ConstraintComponent, ...]
     xy_pairs: tuple[tuple[int, int], ...]
-    x_qubits: tuple[int, ...]
 
 
 def derive_constraint_groups(cs: ConstraintSet) -> ConstraintGroups:
@@ -60,8 +61,7 @@ def derive_constraint_groups(cs: ConstraintSet) -> ConstraintGroups:
     Constraints sharing variables are merged into connected components and
     each component's admissible local assignments are enumerated by brute
     force.  XY pairs come from a greedy matching over the selected
-    constraints in their appearance order; every qubit left unmatched
-    (including those inside components) receives a plain X term.
+    constraints in their appearance order.
     """
     selected = [
         c
@@ -115,90 +115,64 @@ def derive_constraint_groups(cs: ConstraintSet) -> ConstraintGroups:
         if a not in matched and b not in matched:
             xy_pairs.append((a, b))
             matched.update((a, b))
-    x_qubits = tuple(q for q in range(cs.n) if q not in matched)
-    return ConstraintGroups(
-        components=tuple(components), xy_pairs=tuple(xy_pairs), x_qubits=x_qubits
-    )
+    return ConstraintGroups(components=tuple(components), xy_pairs=tuple(xy_pairs))
 
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Everything that determines circuit synthesis for one QAOA variant."""
+    """One member of the hybrid XY-X ansatz family.
 
-    kind: str
+    The initial state is the equal superposition over every assignment that
+    matches one pattern of each component (free qubits uniform); each mixer
+    layer is an XY block per pair plus an X rotation of weight ``lam`` on
+    every other qubit.  Standard QAOA is the member with no components, no
+    pairs and ``lam`` = 1.
+    """
+
     n: int
     depth: int
     lam: float = 1.0
     xy_pairs: tuple[tuple[int, int], ...] = ()
-    x_qubits: tuple[int, ...] = ()
     components: tuple[ConstraintComponent, ...] = ()
-    init_support: tuple[str, ...] | None = None  # None means the full basis
 
     def __post_init__(self) -> None:
-        if self.kind not in (STANDARD, CONSTRAINT_AWARE):
-            raise ValueError(f"unknown ansatz kind {self.kind!r}")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
-        seen: set[int] = set()
-        for a, b in self.xy_pairs:
-            if a == b or a in seen or b in seen:
-                raise ValueError("xy pairs must be pairwise disjoint")
-            seen.update((a, b))
-        if seen & set(self.x_qubits):
-            raise ValueError("x qubits must not overlap xy pairs")
-        if self.init_support is not None:
-            for bits in self.init_support:
-                if len(bits) != self.n:
-                    raise ValueError("support bitstring length mismatch")
-                for a, b in self.xy_pairs:
-                    if int(bits[a]) + int(bits[b]) != 1:
-                        raise ValueError(
-                            f"support string {bits} violates one-hot on pair ({a},{b})"
-                        )
+        paired = [q for pair in self.xy_pairs for q in pair]
+        if len(set(paired)) != len(paired):
+            raise ValueError("xy pairs must be pairwise disjoint")
 
     @classmethod
     def standard(cls, n: int, depth: int) -> "AnsatzSpec":
-        return cls(kind=STANDARD, n=n, depth=depth, lam=1.0, x_qubits=tuple(range(n)))
+        return cls(n=n, depth=depth)
 
     @classmethod
     def constraint_aware(cls, cs: ConstraintSet, depth: int, lam: float) -> "AnsatzSpec":
         groups = derive_constraint_groups(cs)
-        if not groups.components:
-            return cls(
-                kind=CONSTRAINT_AWARE,
-                n=cs.n,
-                depth=depth,
-                lam=lam,
-                x_qubits=tuple(range(cs.n)),
-            )
-        covered = {q for comp in groups.components for q in comp.qubits}
-        free = [q for q in range(cs.n) if q not in covered]
-        support = []
-        pattern_choices = [comp.patterns for comp in groups.components]
-        for picks in itertools.product(*pattern_choices):
-            base = ["0"] * cs.n
-            for comp, pattern in zip(groups.components, picks):
-                for q, bit in zip(comp.qubits, pattern):
-                    base[q] = bit
-            for free_bits in itertools.product("01", repeat=len(free)):
-                for q, bit in zip(free, free_bits):
-                    base[q] = bit
-                support.append("".join(base))
         return cls(
-            kind=CONSTRAINT_AWARE,
-            n=cs.n,
-            depth=depth,
-            lam=lam,
-            xy_pairs=groups.xy_pairs,
-            x_qubits=groups.x_qubits,
-            components=groups.components,
-            init_support=tuple(sorted(support)),
+            n=cs.n, depth=depth, lam=lam, xy_pairs=groups.xy_pairs, components=groups.components
         )
 
+    @cached_property
+    def x_qubits(self) -> tuple[int, ...]:
+        """Qubits outside every XY pair, in ascending order."""
+        paired = {q for pair in self.xy_pairs for q in pair}
+        return tuple(q for q in range(self.n) if q not in paired)
+
     def support_bitstrings(self) -> tuple[str, ...]:
-        if self.init_support is not None:
-            return self.init_support
-        return tuple(format(i, f"0{self.n}b") for i in range(1 << self.n))
+        """Basis states of the initial superposition, in index order."""
+        bitstrings = (index_bitstring(i, self.n) for i in range(1 << self.n))
+        return tuple(
+            bits
+            for bits in bitstrings
+            if all("".join(bits[q] for q in c.qubits) in c.patterns for c in self.components)
+        )
+
+    @cached_property
+    def _loaded_state(self) -> StateVector:
+        # once per spec: enumerating the support costs about 100 us, an
+        # exact evaluation about 1 ms, and every evaluation loads the state
+        return StateVector.from_support(self.n, self.support_bitstrings())
 
 
 @dataclass(frozen=True)
@@ -241,8 +215,6 @@ def init_circuit(spec: AnsatzSpec) -> list[GateOp]:
     onto the pattern whose first bit is 0 (its complement rides along on
     the other branch).  Unconstrained qubits get a plain H.
     """
-    if spec.kind == STANDARD or not spec.components:
-        return [GateOp("h", (q,)) for q in range(spec.n)]
     gates: list[GateOp] = []
     covered: set[int] = set()
     for comp in spec.components:
@@ -264,9 +236,7 @@ def init_circuit(spec: AnsatzSpec) -> list[GateOp]:
 
 
 def mixer_circuit(spec: AnsatzSpec, beta: float) -> list[GateOp]:
-    """One mixer layer: RX(2*beta) everywhere, or XY blocks plus weighted X."""
-    if spec.kind == STANDARD:
-        return [GateOp("rx", (q,), 2.0 * beta) for q in range(spec.n)]
+    """One mixer layer: RXX and RYY per XY pair, then RX(2*lam*beta) on the other qubits."""
     gates: list[GateOp] = []
     for a, b in spec.xy_pairs:
         gates.append(GateOp("rxx", (a, b), 2.0 * beta))
@@ -320,10 +290,7 @@ def prepare_initial_state(
         return state
     if noise is not None:
         raise ValueError("gate noise requires via_gates=True")
-    if spec.init_support is None:
-        sv = StateVector.uniform(spec.n)
-    else:
-        sv = StateVector.from_support(spec.n, spec.init_support)
+    sv = spec._loaded_state.copy()
     return DensityMatrix.from_statevector(sv) if engine == "density" else sv
 
 

@@ -28,6 +28,7 @@ from .encode import (
     CONVENTION_A,
     CONVENTION_B,
     QuboProblem,
+    check_positive,
     default_energy_scale,
     ising_as_dict,
     penalize,
@@ -271,6 +272,8 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         keys = set()
         for lam in self.lambdas:
+            if not math.isfinite(lam):
+                raise ValueError(f"lambda {lam} is not finite")
             if lam < 0:
                 raise ValueError(f"lambda {lam:g} is negative; lambdas must be >= 0")
             # derive_run_seed and the run-file name key runs by round(lambda * 1000)
@@ -394,6 +397,9 @@ def solve_report(path: str) -> dict:
 
 def encode_report(path: str, penalty: float | None = None, scale: float | None = None) -> dict:
     """Full coefficient dump: raw penalty terms, collected QUBO, both Ising forms."""
+    for flag, value in (("--penalty", penalty), ("--scale", scale)):
+        if value is not None:
+            check_positive(flag, value)
     inst = load_instance(path)
     cs = build_constraints(inst)
     qubo = penalize(inst, cs, penalty)

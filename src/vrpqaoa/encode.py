@@ -14,6 +14,7 @@ by the sign of the linear field h.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,12 @@ CONVENTION_A = "A"
 CONVENTION_B = "B"
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class QuboProblem:
     """c + sum_i q_i x_i + sum_{i<j} Q_ij x_i x_j over binary variables."""
@@ -52,8 +59,7 @@ class QuboProblem:
         for i, j in self.quadratic:
             if not (0 <= i < j < self.n):
                 raise ValueError("quadratic keys must be upper-triangular (i < j)")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        check_positive("penalty", self.penalty)
 
 
 def default_penalty(inst: VrpInstance) -> float:
@@ -103,8 +109,7 @@ def penalize(
     if cs.n != idx.n:
         raise ValueError("constraint set does not match the instance's variable count")
     p = default_penalty(inst) if penalty is None else float(penalty)
-    if p <= 0:
-        raise ValueError("penalty must be positive")
+    check_positive("penalty", p)
 
     constant = 0.0
     linear = [0.0] * idx.n
@@ -201,11 +206,10 @@ def default_energy_scale(ising: IsingCoefficients) -> float:
 
 @dataclass(frozen=True)
 class CostOperator:
-    """Diagonal of the cost Hamiltonian: entry index(bits) holds C(bits) - shift."""
+    """Diagonal of a cost function: entry int(bits, 2) holds its value at bits."""
 
     n: int
     diagonal: np.ndarray
-    constant_shift: float
 
     def value(self, bits: str) -> float:
         return float(self.diagonal[int(bits, 2)])
@@ -216,12 +220,8 @@ class CostOperator:
         return tuple(format(int(i), f"0{self.n}b") for i in hits)
 
 
-def to_cost_operator(qubo: QuboProblem, drop_constant: bool = False) -> CostOperator:
-    """Expand the QUBO into a dense diagonal over all 2^n basis states.
-
-    With ``drop_constant`` the Ising constant c0 is subtracted, matching the
-    phase applied by a gate-level cost circuit built from h and J alone.
-    """
+def to_cost_operator(qubo: QuboProblem) -> CostOperator:
+    """Expand the QUBO into a dense diagonal over all 2^n basis states."""
     if qubo.n > BRUTE_FORCE_LIMIT:
         raise InstanceTooLargeError(f"{qubo.n} variables exceeds the enumeration limit")
     cols = [_bit_column(qubo.n, q).astype(float) for q in range(qubo.n)]
@@ -232,11 +232,7 @@ def to_cost_operator(qubo: QuboProblem, drop_constant: bool = False) -> CostOper
     for (i, j), coeff in qubo.quadratic.items():
         if coeff:
             diag += coeff * cols[i] * cols[j]
-    shift = 0.0
-    if drop_constant:
-        shift = to_ising(qubo, CONVENTION_B).constant
-        diag = diag - shift
-    return CostOperator(n=qubo.n, diagonal=diag, constant_shift=shift)
+    return CostOperator(n=qubo.n, diagonal=diag)
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ class CompiledCost:
     qubo: QuboProblem
     ising: IsingCoefficients  # convention B: aligned with measured bitstrings
     full_diagonal: CostOperator  # C(x) including the constant
-    phase_diagonal: CostOperator  # C(x) - c0, used for phase evolution
+    phase_diagonal: CostOperator  # C(x) - c0: the phase of a cost circuit built from h and J
     scale: float
 
     @classmethod
@@ -254,13 +250,13 @@ class CompiledCost:
         ising = to_ising(qubo, CONVENTION_B)
         if scale is None:
             scale = default_energy_scale(ising)
-        if scale <= 0:
-            raise ValueError("energy scale must be positive")
+        check_positive("energy scale", scale)
+        full = to_cost_operator(qubo)
         return cls(
             qubo=qubo,
             ising=ising,
-            full_diagonal=to_cost_operator(qubo, drop_constant=False),
-            phase_diagonal=to_cost_operator(qubo, drop_constant=True),
+            full_diagonal=full,
+            phase_diagonal=CostOperator(n=qubo.n, diagonal=full.diagonal - ising.constant),
             scale=float(scale),
         )
 

@@ -100,7 +100,22 @@ class VrpInstance:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "VrpInstance":
-        distances = tuple(tuple(float(w) for w in row) for row in payload["distances"])
+        if not isinstance(payload, dict):
+            raise ValueError(f"an instance must be a JSON object, got {payload!r}")
+        for key in payload:
+            if key not in ("distances", "vehicles"):
+                raise ValueError(f"unknown instance key {key!r}")
+        for key in ("distances", "vehicles"):
+            if key not in payload:
+                raise ValueError(f"instance key {key!r} is missing")
+        rows = payload["distances"]
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple))
+            and all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in row)
+            for row in rows
+        ):
+            raise ValueError(f"distances must be a list of rows of numbers, got {rows!r}")
+        distances = tuple(tuple(float(w) for w in row) for row in rows)
         vehicles = payload["vehicles"]
         if not isinstance(vehicles, (int, float)) or not float(vehicles).is_integer():
             raise ValueError(f"vehicles must be a whole number, got {vehicles!r}")

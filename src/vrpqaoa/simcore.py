@@ -12,6 +12,7 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -180,25 +181,11 @@ class DensityMatrix:
 State = Union[StateVector, DensityMatrix]
 
 
-def _apply_matrix_sv(amps: np.ndarray, n: int, mat: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    k = len(qubits)
-    tensor = amps.reshape([2] * n)
-    small = mat.reshape([2] * (2 * k))
-    out = np.tensordot(small, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
-    out = np.moveaxis(out, list(range(k)), list(qubits))
-    return out.reshape(-1)
-
-
-def _apply_matrix_dm(rho: np.ndarray, n: int, mat: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    k = len(qubits)
-    tensor = rho.reshape([2] * (2 * n))
-    small = mat.reshape([2] * (2 * k))
-    out = np.tensordot(small, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
-    out = np.moveaxis(out, list(range(k)), list(qubits))
-    bra_axes = [n + q for q in qubits]
-    out = np.tensordot(small.conj(), out, axes=(list(range(k, 2 * k)), bra_axes))
-    out = np.moveaxis(out, list(range(k)), bra_axes)
-    return out.reshape(rho.shape)
+def _contract(tensor: np.ndarray, small: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply a gate tensor of shape [2] * 2k to the given k axes of ``tensor``."""
+    k = len(axes)
+    out = np.tensordot(small, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def _check_targets(n: int, qubits: Sequence[int]) -> None:
@@ -251,15 +238,9 @@ def average_infidelity(lam: float, qubits: int) -> float:
     return (1.0 - 2.0 ** (-qubits)) * lam
 
 
-_TRACE_RECIPE: dict[tuple[int, tuple[int, ...]], tuple[str, tuple[tuple, ...]]] = {}
-
-
+@lru_cache(maxsize=None)
 def _trace_recipe(n: int, qubits: tuple[int, ...]) -> tuple[str, tuple[tuple, ...]]:
-    """Cached einsum spec for the partial trace plus the re-embedding slices."""
-    key = (n, qubits)
-    cached = _TRACE_RECIPE.get(key)
-    if cached is not None:
-        return cached
+    """Einsum spec for the partial trace plus the re-embedding slices."""
     letters = string.ascii_letters
     ket = [letters[i] for i in range(n)]
     bra = [letters[n + i] for i in range(n)]
@@ -276,9 +257,7 @@ def _trace_recipe(n: int, qubits: tuple[int, ...]) -> tuple[str, tuple[tuple, ..
             sl[q] = b
             sl[n + q] = b
         slices.append(tuple(sl))
-    cached = (spec, tuple(slices))
-    _TRACE_RECIPE[key] = cached
-    return cached
+    return spec, tuple(slices)
 
 
 def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> DensityMatrix:
@@ -319,12 +298,16 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
         if op.angle is None:
             raise ValueError(f"gate {op.name!r} needs an angle")
         _apply_phase_diagonal(state, _z_phase_vector(state.n, op.qubits, op.angle))
-    elif isinstance(state, StateVector):
-        state.amplitudes = _apply_matrix_sv(
-            state.amplitudes, state.n, gate_matrix(op.name, op.angle), op.qubits
-        )
     else:
-        state.rho = _apply_matrix_dm(state.rho, state.n, gate_matrix(op.name, op.angle), op.qubits)
+        n = state.n
+        small = gate_matrix(op.name, op.angle).reshape([2] * (2 * arity))
+        if isinstance(state, StateVector):
+            amps = _contract(state.amplitudes.reshape([2] * n), small, op.qubits)
+            state.amplitudes = amps.reshape(-1)
+        else:  # ket side, then bra side
+            ket = _contract(state.rho.reshape([2] * (2 * n)), small, op.qubits)
+            bra = _contract(ket, small.conj(), [n + q for q in op.qubits])
+            state.rho = bra.reshape(state.rho.shape)
     if noise is not None and (noise.p1 > 0 or noise.p2 > 0):
         if not isinstance(state, DensityMatrix):
             raise TypeError("gate noise requires the density-matrix engine")

@@ -2,6 +2,7 @@ import pytest
 
 from vrpqaoa.cli import build_problem, load_instance, toy_instance_path
 from vrpqaoa.instance import EQUAL, VrpInstance
+from vrpqaoa.simcore import GateOp, StateVector, apply_diagonal_phase, apply_gate
 
 # Variable order for the three-node instance:
 #   0: x(0,1)  1: x(0,2)  2: x(1,0)  3: x(1,2)  4: x(2,0)  5: x(2,1)
@@ -43,3 +44,17 @@ def penalty_sum_value(bits: str, inst: VrpInstance, constraints, penalty: float)
             a, b = c.variables
             total += penalty * (1 - values[a]) * (1 - values[b])
     return total
+
+
+def textbook_qaoa(cost, params) -> StateVector:
+    """Standard QAOA written out gate by gate, independently of ``AnsatzSpec``:
+    H on every qubit, then per layer the cost phase and RX(2*beta) on every qubit."""
+    n = cost.phase_diagonal.n
+    state = StateVector(n)
+    for q in range(n):
+        apply_gate(state, GateOp("h", (q,)))
+    for gamma, beta in zip(params.gamma, params.beta):
+        apply_diagonal_phase(state, cost.phase_diagonal, gamma, cost.scale)
+        for q in range(n):
+            apply_gate(state, GateOp("rx", (q,), 2.0 * beta))
+    return state

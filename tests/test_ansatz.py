@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE, X01, X02, X10, X12, X20, X21
+from conftest import FEASIBLE, X01, X02, X10, X12, X20, X21, textbook_qaoa
 from vrpqaoa.ansatz import (
     AnsatzSpec,
-    CONSTRAINT_AWARE,
     InfeasibleStructureError,
     ParameterPoint,
-    STANDARD,
     apply_mixer_layer,
     circuit_gates,
     derive_constraint_groups,
@@ -53,13 +51,11 @@ class TestDeriveConstraintGroups:
     def test_toy_matching(self, toy):
         groups = derive_constraint_groups(toy.constraints)
         assert groups.xy_pairs == ((X10, X12), (X20, X21))
-        assert groups.x_qubits == (X01, X02)
 
     def test_empty_constraint_set(self):
         groups = derive_constraint_groups(ConstraintSet(n=4, constraints=()))
         assert groups.components == ()
         assert groups.xy_pairs == ()
-        assert groups.x_qubits == (0, 1, 2, 3)
 
     def test_infeasible_component_detected(self):
         # odd one-hot cycle: x0+x1=1, x1+x2=1, x0+x2=1 has no solution
@@ -78,40 +74,27 @@ class TestDeriveConstraintGroups:
 class TestAnsatzSpec:
     def test_standard_factory(self):
         spec = AnsatzSpec.standard(6, 2)
-        assert spec.kind == STANDARD
+        assert spec == AnsatzSpec(n=6, depth=2)
         assert spec.xy_pairs == ()
+        assert spec.components == ()
         assert spec.x_qubits == tuple(range(6))
         assert spec.lam == 1.0
         assert len(spec.support_bitstrings()) == 64
 
     def test_constraint_aware_factory(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=2, lam=0.7)
-        assert spec.init_support == TOY_SUPPORT
+        assert spec.support_bitstrings() == TOY_SUPPORT
         assert spec.xy_pairs == ((X10, X12), (X20, X21))
         assert spec.x_qubits == (X01, X02)
 
     def test_constraint_aware_without_components_is_uniform(self):
         spec = AnsatzSpec.constraint_aware(ConstraintSet(n=3, constraints=()), 1, 0.5)
-        assert spec.init_support is None
+        assert len(spec.support_bitstrings()) == 8
         assert spec.x_qubits == (0, 1, 2)
 
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
-            AnsatzSpec(kind=CONSTRAINT_AWARE, n=4, depth=1, xy_pairs=((0, 1), (1, 2)))
-
-    def test_x_qubits_must_not_touch_pairs(self):
-        with pytest.raises(ValueError):
-            AnsatzSpec(kind=CONSTRAINT_AWARE, n=4, depth=1, xy_pairs=((0, 1),), x_qubits=(1,))
-
-    def test_support_must_be_one_hot_on_pairs(self):
-        with pytest.raises(ValueError):
-            AnsatzSpec(
-                kind=CONSTRAINT_AWARE,
-                n=2,
-                depth=1,
-                xy_pairs=((0, 1),),
-                init_support=("11",),
-            )
+            AnsatzSpec(n=4, depth=1, xy_pairs=((0, 1), (1, 2)))
 
 
 class TestParameterPoint:
@@ -217,9 +200,7 @@ class TestMixer:
             assert np.allclose(a, b, atol=1e-12)
 
     def test_pure_xy_conserves_hamming_weight_distribution(self):
-        spec = AnsatzSpec(
-            kind=CONSTRAINT_AWARE, n=4, depth=1, lam=0.0, xy_pairs=((0, 1), (2, 3))
-        )
+        spec = AnsatzSpec(n=4, depth=1, lam=0.0, xy_pairs=((0, 1), (2, 3)))
         rng = np.random.default_rng(5)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         state = StateVector(4, amps / np.linalg.norm(amps))
@@ -295,14 +276,11 @@ class TestEvolve:
             assert pattern_violation_probability(probs, spec.xy_pairs) <= 1e-10
 
     def test_lambda_one_reduces_to_standard(self, toy):
-        # no xy pairs, uniform init, full-weight X terms: identical circuits
-        reduced = AnsatzSpec(
-            kind=CONSTRAINT_AWARE, n=6, depth=2, lam=1.0, x_qubits=tuple(range(6))
-        )
-        standard = AnsatzSpec.standard(6, 2)
+        # no xy pairs, uniform init, full-weight X terms: textbook QAOA
+        reduced = AnsatzSpec(n=6, depth=2, lam=1.0)
         params = ParameterPoint(gamma=(0.9, -1.2), beta=(0.3, 1.0))
         a = evolve(reduced, toy.cost.phase_diagonal, params, scale=toy.cost.scale)
-        b = evolve(standard, toy.cost.phase_diagonal, params, scale=toy.cost.scale)
+        b = textbook_qaoa(toy.cost, params)
         assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
 
     def test_depth_mismatch_rejected(self, toy):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE, FEASIBLE_COST
+from test_instance import MALFORMED_INSTANCES
 from vrpqaoa.cli import (
     ExperimentConfig,
     NOISE_PRESETS,
@@ -262,6 +263,8 @@ class TestCommandLine:
             (["--workers", "0"], "workers must be >= 1, got 0"),
             (["--lambda", "0.7,0.7004"], "lambda 0.7004 is not a multiple of 0.001"),
             (["--lambda", "0.7,0.7"], "lambda 0.7 is repeated"),
+            (["--lambda", "inf"], "lambda inf is not finite"),
+            (["--lambda", "nan"], "lambda nan is not finite"),
         ],
     )
     def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
@@ -331,6 +334,20 @@ class TestCommandLine:
         bad.write_text(json.dumps(payload))
         assert main(["solve", str(bad)]) == 2
         assert "distance [1][2] is nan; distances must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,message", MALFORMED_INSTANCES)
+    def test_solve_rejects_malformed_instance(self, tmp_path, capsys, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["solve", str(bad)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--penalty", "--scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_encode_rejects_bad_penalty_or_scale(self, capsys, flag, value):
+        assert main(["encode", toy_instance_path(), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be finite and > 0, got {float(value)}" in err
 
     def test_solve_reports_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,10 +114,14 @@ class TestPenalize:
         with pytest.raises(ValueError):
             penalize(toy_instance, cs)
 
-    def test_nonpositive_penalty_rejected(self, toy_instance):
+    def test_nonpositive_penalty_rejected(self, toy_instance, toy):
         cs = build_constraints(toy_instance)
-        with pytest.raises(ValueError):
-            penalize(toy_instance, cs, penalty=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            message = f"penalty must be finite and > 0, got {bad}"
+            with pytest.raises(ValueError, match=message):
+                penalize(toy_instance, cs, penalty=bad)
+            with pytest.raises(ValueError, match=message):
+                replace(toy.qubo, penalty=bad)
 
 
 class TestQuboValue:
@@ -176,8 +183,9 @@ class TestCostOperator:
         assert op.value(FEASIBLE) == pytest.approx(FEASIBLE_COST, abs=1e-6)
 
     def test_drop_constant_shifts_uniformly(self, toy):
-        op = to_cost_operator(toy.qubo, drop_constant=True)
-        assert op.constant_shift == pytest.approx(EXPECTED_ISING_CONSTANT, abs=1e-6)
+        op = toy.cost.phase_diagonal
+        shift = toy.cost.full_diagonal.diagonal - op.diagonal
+        assert np.allclose(shift, EXPECTED_ISING_CONSTANT, atol=1e-6)
         assert op.value(FEASIBLE) == pytest.approx(FEASIBLE_COST - EXPECTED_ISING_CONSTANT, abs=1e-6)
         assert op.argmin_bitstrings() == (FEASIBLE,)
 
@@ -206,5 +214,6 @@ class TestCompiledCost:
         )
 
     def test_rejects_nonpositive_scale(self, toy):
-        with pytest.raises(ValueError):
-            CompiledCost.from_qubo(toy.qubo, scale=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"energy scale must be finite and > 0, got {bad}"):
+                CompiledCost.from_qubo(toy.qubo, scale=bad)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -15,6 +16,19 @@ from vrpqaoa.instance import (
     route_cost,
 )
 from vrpqaoa.encode import penalize, qubo_value
+
+
+#: Instance payloads that are not a valid instance, with the error they raise.
+MALFORMED_INSTANCES = [
+    ({"vehicles": 1}, "instance key 'distances' is missing"),
+    ({"distances": [[0, 1], [1, 0]]}, "instance key 'vehicles' is missing"),
+    ([1, 2], "an instance must be a JSON object, got [1, 2]"),
+    ({"distances": 5, "vehicles": 1}, "distances must be a list of rows of numbers, got 5"),
+    ({"distances": [5, 5], "vehicles": 1}, "distances must be a list of rows of numbers"),
+    ({"distances": [[0, "1"], [1, 0]], "vehicles": 1},
+     "distances must be a list of rows of numbers"),
+    ({"distances": [[0, 1], [1, 0]], "vehicles": 1, "extra": 3}, "unknown instance key 'extra'"),
+]
 
 
 def constraint_key(c):
@@ -59,6 +73,11 @@ class TestInstanceValidation:
     def test_from_dict_accepts_integral_float_vehicles(self):
         payload = {"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "vehicles": 2.0}
         assert VrpInstance.from_dict(payload).vehicles == 2
+
+    @pytest.mark.parametrize("payload,message", MALFORMED_INSTANCES)
+    def test_from_dict_rejects_malformed_payload(self, payload, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            VrpInstance.from_dict(payload)
 
 
 class TestLinkVariableIndex:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE, all_bitstrings, penalty_sum_value
-from vrpqaoa.ansatz import AnsatzSpec, ParameterPoint
+from vrpqaoa.ansatz import AnsatzSpec, ConstraintComponent, ParameterPoint
 from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
@@ -107,7 +107,7 @@ class TestObjective:
         value = objective(params, spec, toy.cost, ObjectiveKind.exact(), OptimizerConfig())
         support_costs = [
             penalty_sum_value(b, toy.instance, toy.constraints, toy.qubo.penalty)
-            for b in spec.init_support
+            for b in spec.support_bitstrings()
         ]
         assert 132.0 in [round(c, 6) for c in support_costs]
         assert value == pytest.approx(np.mean(support_costs) / toy.cost.scale, abs=1e-9)
@@ -230,9 +230,8 @@ class TestMinimize:
 
 class TestFinalSampling:
     def test_one_hot_distribution_concentrates(self, toy):
-        spec = AnsatzSpec(
-            kind="constraint_aware", n=6, depth=0, init_support=(FEASIBLE,)
-        )
+        point_mass = ConstraintComponent(qubits=tuple(range(6)), patterns=(FEASIBLE,))
+        spec = AnsatzSpec(n=6, depth=0, components=(point_mass,))
         hist = sample(
             final_distribution(spec, toy.cost, ParameterPoint((), ()), ObjectiveKind.exact()),
             256, rng=0,

@@ -1,0 +1,143 @@
+"""Property tests over random valid instances, angles and noise levels.
+
+Each property draws a 2- or 3-node instance with 1 to m - 1 vehicles, so
+both the component-free (2-node) and the component-bearing (3-node) shapes
+of the hybrid ansatz are exercised.  Example counts are capped to keep the
+suite to a few seconds; ``derandomize`` makes every run draw the same cases.
+"""
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from test_ansatz import pattern_violation_probability
+from vrpqaoa.ansatz import (
+    BETA_BOUNDS,
+    GAMMA_BOUNDS,
+    AnsatzSpec,
+    ParameterPoint,
+    evolve,
+    prepare_initial_state,
+)
+from vrpqaoa.cli import build_problem
+from vrpqaoa.instance import VrpInstance
+from vrpqaoa.optimize import ObjectiveKind, final_distribution, nelder_mead
+from vrpqaoa.simcore import NoiseModel, measure_distribution
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+#: Link costs on the 0.1 grid of the bundled and generated instance files.
+distance = st.integers(min_value=0, max_value=1000).map(lambda tenths: tenths / 10)
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.sampled_from([2, 3]))
+    rows = tuple(
+        tuple(0.0 if i == j else draw(distance) for j in range(m)) for i in range(m)
+    )
+    # all links free: the default penalty is 0, which penalize rejects
+    assume(any(map(any, rows)))
+    vehicles = draw(st.integers(min_value=1, max_value=m - 1))
+    return build_problem(VrpInstance(distances=rows, vehicles=vehicles))
+
+
+@st.composite
+def params(draw, depth):
+    gamma = st.floats(*GAMMA_BOUNDS, allow_nan=False)
+    beta = st.floats(*BETA_BOUNDS, allow_nan=False)
+    return ParameterPoint(
+        gamma=tuple(draw(gamma) for _ in range(depth)),
+        beta=tuple(draw(beta) for _ in range(depth)),
+    )
+
+
+@st.composite
+def cases(draw):
+    """A problem, one of its two ansaetze, and angles for it."""
+    problem = draw(problems())
+    depth = draw(st.integers(min_value=1, max_value=3))
+    lam = draw(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
+    if draw(st.booleans()):
+        spec = AnsatzSpec.constraint_aware(problem.constraints, depth, lam)
+    else:
+        spec = AnsatzSpec.standard(problem.qubo.n, depth)
+    return problem, spec, draw(params(depth))
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_loaded_initial_state_equals_recipe(case):
+    _, spec, _ = case
+    loaded = prepare_initial_state(spec).amplitudes
+    recipe = prepare_initial_state(spec, via_gates=True).amplitudes
+    assert np.abs(loaded - recipe).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_exact_and_gate_engines_agree(case):
+    problem, spec, point = case
+    cost = problem.cost
+    exact = evolve(spec, cost.phase_diagonal, point, scale=cost.scale)
+    gates = evolve(spec, cost.ising, point, engine="gate", scale=cost.scale)
+    dev = np.abs(measure_distribution(exact) - measure_distribution(gates)).max()
+    assert dev <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(min_value=1, max_value=3), st.data())
+def test_constraint_aware_evolution_stays_one_hot(problem, depth, data):
+    lam = data.draw(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
+    spec = AnsatzSpec.constraint_aware(problem.constraints, depth, lam)
+    point = data.draw(params(depth))
+    state = evolve(spec, problem.cost.phase_diagonal, point, scale=problem.cost.scale)
+    assert pattern_violation_probability(measure_distribution(state), spec.xy_pairs) <= 1e-10
+
+
+noise_models = st.builds(
+    NoiseModel,
+    p1=st.floats(min_value=0.0, max_value=0.05),
+    p2=st.floats(min_value=0.0, max_value=0.05),
+    p01=st.floats(min_value=0.0, max_value=0.1),
+    p10=st.floats(min_value=0.0, max_value=0.1),
+)
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.one_of(st.none(), noise_models))
+def test_distributions_are_probability_vectors(case, noise):
+    problem, spec, point = case
+    kind = ObjectiveKind.exact() if noise is None else ObjectiveKind.noisy(noise)
+    probs = final_distribution(spec, problem.cost, point, kind)
+    assert probs.shape == (1 << spec.n,)
+    assert (probs >= 0).all()
+    assert math.isclose(probs.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=60),
+    st.data(),
+)
+def test_nelder_mead_stays_in_box_and_budget(dim, budget, data):
+    coordinate = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    lower = np.array(data.draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+    width = data.draw(st.lists(st.floats(0.0, 5.0), min_size=dim, max_size=dim))
+    upper = lower + np.array(width)
+    x0 = np.array(data.draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+    target = np.array(data.draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return float(np.sum((x - target) ** 2))
+
+    best_x, best_f, history = nelder_mead(f, x0, lower, upper, budget)
+    assert 1 <= len(seen) <= budget
+    assert len(history) == len(seen)
+    assert all(((lower <= x) & (x <= upper)).all() for x in seen)
+    assert (lower <= best_x).all() and (best_x <= upper).all()
+    assert best_f == min(history)

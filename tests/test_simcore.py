@@ -161,7 +161,7 @@ class TestApplyGateErrors:
 
 class TestDiagonalPhase:
     def _diag(self, n=3):
-        return CostOperator(n=n, diagonal=RNG.normal(size=1 << n) * 10, constant_shift=0.0)
+        return CostOperator(n=n, diagonal=RNG.normal(size=1 << n) * 10)
 
     def test_zero_angle_is_identity(self):
         diag = self._diag()
