@@ -8,7 +8,6 @@ the target axes, which is cheap for the desk-scale systems handled here.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -181,11 +180,20 @@ class DensityMatrix:
 State = Union[StateVector, DensityMatrix]
 
 
-def _contract(tensor: np.ndarray, small: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply a gate tensor of shape [2] * 2k to the given k axes of ``tensor``."""
-    k = len(axes)
-    out = np.tensordot(small, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, list(range(k)), list(axes))
+@lru_cache(maxsize=None)
+def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Permutation that brings ``axes`` to the front, and its inverse."""
+    front = axes + tuple(a for a in range(ndim) if a not in axes)
+    back = tuple(sorted(range(ndim), key=front.__getitem__))
+    return front, back
+
+
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Apply a 2^k x 2^k gate matrix to k axes of a [2] * ndim tensor: the
+    calls of ``np.tensordot`` plus ``np.moveaxis``, with cached axis orders."""
+    front, back = _axis_orders(tensor.ndim, axes)
+    moved = tensor.transpose(front).reshape(mat.shape[1], -1)
+    return np.dot(mat, moved).reshape(tensor.shape).transpose(back)
 
 
 def _check_targets(n: int, qubits: Sequence[int]) -> None:
@@ -239,25 +247,19 @@ def average_infidelity(lam: float, qubits: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _trace_recipe(n: int, qubits: tuple[int, ...]) -> tuple[str, tuple[tuple, ...]]:
-    """Einsum spec for the partial trace plus the re-embedding slices."""
+def _trace_recipe(n: int, qubits: tuple[int, ...]) -> tuple[str, np.ndarray]:
+    """Einsum spec for the partial trace, plus the flat indices that re-embed
+    it: row p holds the entries whose targets read pattern p on both sides."""
     letters = string.ascii_letters
     ket = [letters[i] for i in range(n)]
     bra = [letters[n + i] for i in range(n)]
     for q in qubits:
         bra[q] = ket[q]
-    keep = [ket[i] for i in range(n) if i not in qubits] + [
-        letters[n + i] for i in range(n) if i not in qubits
-    ]
-    spec = "".join(ket + bra) + "->" + "".join(keep)
-    slices = []
-    for pattern in itertools.product((0, 1), repeat=len(qubits)):
-        sl: list = [slice(None)] * (2 * n)
-        for q, b in zip(qubits, pattern):
-            sl[q] = b
-            sl[n + q] = b
-        slices.append(tuple(sl))
-    return spec, tuple(slices)
+    labels = "".join(ket + bra)
+    kept = "".join(c for i, c in enumerate(labels) if i % n not in qubits)
+    flat = np.arange(1 << (2 * n)).reshape([2] * (2 * n))
+    diagonal = np.einsum(labels + "->" + "".join(ket[q] for q in qubits) + kept, flat)
+    return labels + "->" + kept, diagonal.reshape(1 << len(qubits), -1)
 
 
 def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> DensityMatrix:
@@ -276,13 +278,12 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
     _check_targets(n, qubits)
     if not state.rho.flags["C_CONTIGUOUS"]:
         state.rho = np.ascontiguousarray(state.rho)
-    tensor = state.rho.reshape([2] * (2 * n))  # view: updates land in state.rho
-    spec, slices = _trace_recipe(n, tuple(qubits))
-    traced = np.einsum(spec, tensor)
+    rho = state.rho
+    spec, index = _trace_recipe(n, tuple(qubits))
+    traced = np.einsum(spec, rho.reshape([2] * (2 * n)))
     traced *= lam / (1 << k)
-    tensor *= 1.0 - lam
-    for sl in slices:
-        tensor[sl] += traced
+    rho *= 1.0 - lam
+    rho.reshape(-1)[index] += traced.reshape(-1)
     return state
 
 
@@ -300,13 +301,14 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
         _apply_phase_diagonal(state, _z_phase_vector(state.n, op.qubits, op.angle))
     else:
         n = state.n
-        small = gate_matrix(op.name, op.angle).reshape([2] * (2 * arity))
+        mat = gate_matrix(op.name, op.angle)
+        qubits = tuple(op.qubits)
         if isinstance(state, StateVector):
-            amps = _contract(state.amplitudes.reshape([2] * n), small, op.qubits)
+            amps = _contract(state.amplitudes.reshape([2] * n), mat, qubits)
             state.amplitudes = amps.reshape(-1)
         else:  # ket side, then bra side
-            ket = _contract(state.rho.reshape([2] * (2 * n)), small, op.qubits)
-            bra = _contract(ket, small.conj(), [n + q for q in op.qubits])
+            ket = _contract(state.rho.reshape([2] * (2 * n)), mat, qubits)
+            bra = _contract(ket, mat.conj(), tuple(n + q for q in qubits))
             state.rho = bra.reshape(state.rho.shape)
     if noise is not None and (noise.p1 > 0 or noise.p2 > 0):
         if not isinstance(state, DensityMatrix):
