@@ -9,7 +9,6 @@ Standard QAOA is the same family with no constraints and full-weight X.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .encode import CostOperator, IsingCoefficients
-from .instance import EQUAL, ConstraintSet, LinearConstraint, index_bitstring
+from .instance import EQUAL, ConstraintSet, index_bitstring
 from .simcore import (
     DensityMatrix,
     GateOp,
@@ -55,58 +54,49 @@ class ConstraintGroups:
     xy_pairs: tuple[tuple[int, int], ...]
 
 
+def _complement(bits: str) -> str:
+    return bits.translate(str.maketrans("01", "10"))
+
+
 def derive_constraint_groups(cs: ConstraintSet) -> ConstraintGroups:
     """Pick the two-variable exactly-one constraints apart into mixer structure.
 
-    Constraints sharing variables are merged into connected components and
-    each component's admissible local assignments are enumerated by brute
-    force.  XY pairs come from a greedy matching over the selected
-    constraints in their appearance order.
+    Each constraint x_a + x_b = 1 fixes x_b = 1 - x_a, so a connected group
+    of them is solved by 2-colouring its graph from its lowest qubit (set to
+    0): the admissible patterns are that colouring and its complement, or
+    none if the group holds an odd cycle.  XY pairs come from a greedy
+    matching over the selected constraints in their appearance order.
     """
     selected = [
         c
         for c in cs
         if c.relation == EQUAL and c.rhs == 1 and len(c.variables) == 2
     ]
-
-    parent: dict[int, int] = {}
-
-    def find(q: int) -> int:
-        parent.setdefault(q, q)
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    neighbours: dict[int, list[int]] = {}
     for c in selected:
-        union(c.variables[0], c.variables[1])
+        a, b = c.variables
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
 
-    groups: dict[int, list[LinearConstraint]] = {}
-    for c in selected:
-        groups.setdefault(find(c.variables[0]), []).append(c)
-
+    colour: dict[int, int] = {}
     components: list[ConstraintComponent] = []
-    for root in sorted(groups, key=lambda r: min(q for c in groups[r] for q in c.variables)):
-        member_constraints = groups[root]
-        qubits = tuple(sorted({q for c in member_constraints for q in c.variables}))
-        local = {q: pos for pos, q in enumerate(qubits)}
-        patterns = []
-        for assignment in itertools.product((0, 1), repeat=len(qubits)):
-            ok = all(
-                assignment[local[c.variables[0]]] + assignment[local[c.variables[1]]] == 1
-                for c in member_constraints
-            )
-            if ok:
-                patterns.append("".join(str(b) for b in assignment))
-        if not patterns:
-            labels = ", ".join(c.label or str(c.variables) for c in member_constraints)
+    for root in sorted(neighbours):
+        if root in colour:
+            continue
+        colour[root] = 0
+        members = [root]
+        for q in members:  # breadth first: the list grows as the walk reaches qubits
+            for r in neighbours[q]:
+                if r not in colour:
+                    colour[r] = 1 - colour[q]
+                    members.append(r)
+        own = [c for c in selected if c.variables[0] in members]
+        if any(colour[c.variables[0]] == colour[c.variables[1]] for c in own):
+            labels = ", ".join(c.label or str(c.variables) for c in own)
             raise InfeasibleStructureError(f"constraints {labels} admit no assignment")
-        components.append(ConstraintComponent(qubits=qubits, patterns=tuple(patterns)))
+        qubits = tuple(sorted(members))
+        pattern = "".join(str(colour[q]) for q in qubits)
+        components.append(ConstraintComponent(qubits, (pattern, _complement(pattern))))
 
     matched: set[int] = set()
     xy_pairs: list[tuple[int, int]] = []
@@ -210,17 +200,18 @@ class ParameterPoint:
 def init_circuit(spec: AnsatzSpec) -> list[GateOp]:
     """Gate recipe preparing the ansatz's initial state from |0...0>.
 
-    Each two-pattern component is prepared as a GHZ-style pair via H plus a
-    CNOT chain from its first qubit, then X gates map the all-zeros branch
-    onto the pattern whose first bit is 0 (its complement rides along on
-    the other branch).  Unconstrained qubits get a plain H.
+    Each component, a pattern plus its complement, is prepared as a
+    GHZ-style pair via H plus a CNOT chain from its first qubit, then X
+    gates map the all-zeros branch onto the pattern whose first bit is 0
+    (its complement rides along on the other branch).  Unconstrained
+    qubits get a plain H.
     """
     gates: list[GateOp] = []
     covered: set[int] = set()
     for comp in spec.components:
-        if len(comp.patterns) != 2:
-            raise ValueError("gate recipe requires exactly two admissible patterns")
-        ref = next(p for p in comp.patterns if p[0] == "0")
+        if len(comp.patterns) != 2 or comp.patterns[1] != _complement(comp.patterns[0]):
+            raise ValueError(f"gate recipe needs a pattern and its complement, got {comp}")
+        ref = min(comp.patterns)
         first = comp.qubits[0]
         gates.append(GateOp("h", (first,)))
         for q in comp.qubits[1:]:
@@ -272,26 +263,9 @@ def circuit_gates(
     return gates
 
 
-def prepare_initial_state(
-    spec: AnsatzSpec,
-    engine: str = "statevector",
-    via_gates: bool = False,
-    noise: NoiseModel | None = None,
-    noisy_init: bool = True,
-) -> State:
+def prepare_initial_state(spec: AnsatzSpec, *, via_gates: bool = False) -> StateVector:
     """Initial state by direct amplitude load or by running the gate recipe."""
-    if engine not in ("statevector", "density"):
-        raise ValueError(f"unsupported engine {engine!r}")
-    if via_gates:
-        state: State = DensityMatrix(spec.n) if engine == "density" else StateVector(spec.n)
-        gate_noise = noise if noisy_init else None
-        for op in init_circuit(spec):
-            apply_gate(state, op, gate_noise)
-        return state
-    if noise is not None:
-        raise ValueError("gate noise requires via_gates=True")
-    sv = spec._loaded_state.copy()
-    return DensityMatrix.from_statevector(sv) if engine == "density" else sv
+    return (_recipe_state(spec, None, True) if via_gates else spec._loaded_state).copy()
 
 
 def apply_mixer_layer(state: State, spec: AnsatzSpec, beta: float) -> State:
@@ -302,11 +276,14 @@ def apply_mixer_layer(state: State, spec: AnsatzSpec, beta: float) -> State:
 
 
 @lru_cache(maxsize=64)
-def _cached_gate_init(
-    spec: AnsatzSpec, engine: str, noise: NoiseModel | None, noisy_init: bool
-) -> State:
-    """The gate-recipe initial state is parameter-free, so build it once."""
-    return prepare_initial_state(spec, engine, via_gates=True, noise=noise, noisy_init=noisy_init)
+def _recipe_state(spec: AnsatzSpec, noise: NoiseModel | None, noisy_init: bool) -> State:
+    """The gate recipe run once per spec: on a density matrix under gate noise
+    (noisy gates too if ``noisy_init``), otherwise on a statevector."""
+    noisy = noise is not None and noise.has_gate_noise
+    state: State = DensityMatrix(spec.n) if noisy else StateVector(spec.n)
+    for op in init_circuit(spec):
+        apply_gate(state, op, noise if noisy and noisy_init else None)
+    return state
 
 
 def evolve(
@@ -332,7 +309,7 @@ def evolve(
             raise TypeError("exact engine needs a CostOperator diagonal")
         if noise is not None:
             raise ValueError("the exact engine is noiseless; use engine='gate'")
-        state = prepare_initial_state(spec, "statevector")
+        state = prepare_initial_state(spec)
         for gamma, beta in zip(params.gamma, params.beta):
             apply_diagonal_phase(state, cost, gamma, scale)
             apply_mixer_layer(state, spec, beta)
@@ -341,10 +318,7 @@ def evolve(
         raise ValueError(f"unknown engine {engine!r}")
     if not isinstance(cost, IsingCoefficients):
         raise TypeError("gate engine needs IsingCoefficients")
-    noisy = noise is not None and (noise.p1 > 0 or noise.p2 > 0)
-    state = _cached_gate_init(
-        spec, "density" if noisy else "statevector", noise if noisy else None, noisy_init
-    ).copy()
+    state = _recipe_state(spec, noise, noisy_init).copy()
     for gamma, beta in zip(params.gamma, params.beta):
         for op in cost_circuit(cost, gamma, scale):
             apply_gate(state, op, noise)

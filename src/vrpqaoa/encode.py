@@ -65,7 +65,12 @@ class QuboProblem:
 def default_penalty(inst: VrpInstance) -> float:
     """Twice the total absolute link cost."""
     m = inst.node_count
-    return 2.0 * sum(abs(inst.distance(i, j)) for i in range(m) for j in range(m) if i != j)
+    total = sum(abs(inst.distance(i, j)) for i in range(m) for j in range(m) if i != j)
+    if total == 0:
+        raise ValueError(
+            "every link costs 0, so the default penalty (twice the total link cost) is 0"
+        )
+    return 2.0 * total
 
 
 def penalty_terms(
@@ -201,6 +206,8 @@ def default_energy_scale(ising: IsingCoefficients) -> float:
     """Largest |coefficient|; dividing by it puts every h, J inside [-1, 1]."""
     magnitudes = [abs(v) for v in ising.fields] + [abs(v) for v in ising.couplings.values()]
     top = max(magnitudes, default=0.0)
+    if top > 0 and math.isinf(1.0 / top):
+        raise ValueError(f"link costs are too small: energy scale {top:g} has no finite reciprocal")
     return top if top > 0 else 1.0
 
 

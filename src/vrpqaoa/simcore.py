@@ -160,10 +160,6 @@ class DensityMatrix:
                 raise ValueError("density matrix has wrong shape")
         self.rho = rho
 
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        return cls(state.n, np.outer(state.amplitudes, state.amplitudes.conj()))
-
     def probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.rho)).copy()
 
@@ -233,8 +229,8 @@ class NoiseModel:
         return 3.0 * self.p2 / 4.0
 
     @property
-    def is_zero(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0 and self.p01 == 0.0 and self.p10 == 0.0
+    def has_gate_noise(self) -> bool:
+        return self.p1 > 0 or self.p2 > 0
 
     @property
     def has_readout_error(self) -> bool:
@@ -310,7 +306,7 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
             ket = _contract(state.rho.reshape([2] * (2 * n)), mat, qubits)
             bra = _contract(ket, mat.conj(), tuple(n + q for q in qubits))
             state.rho = bra.reshape(state.rho.shape)
-    if noise is not None and (noise.p1 > 0 or noise.p2 > 0):
+    if noise is not None and noise.has_gate_noise:
         if not isinstance(state, DensityMatrix):
             raise TypeError("gate noise requires the density-matrix engine")
         p = noise.p1 if arity == 1 else noise.p2

@@ -6,6 +6,7 @@ import pytest
 from conftest import FEASIBLE, X01, X02, X10, X12, X20, X21, textbook_qaoa
 from vrpqaoa.ansatz import (
     AnsatzSpec,
+    ConstraintComponent,
     InfeasibleStructureError,
     ParameterPoint,
     apply_mixer_layer,
@@ -18,7 +19,6 @@ from vrpqaoa.ansatz import (
 )
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint
 from vrpqaoa.simcore import (
-    DensityMatrix,
     GateOp,
     StateVector,
     apply_gate,
@@ -62,12 +62,12 @@ class TestDeriveConstraintGroups:
         cs = ConstraintSet(
             n=3,
             constraints=(
-                LinearConstraint((0, 1), 1, EQUAL),
-                LinearConstraint((1, 2), 1, EQUAL),
-                LinearConstraint((0, 2), 1, EQUAL),
+                LinearConstraint((0, 1), 1, EQUAL, "first"),
+                LinearConstraint((1, 2), 1, EQUAL, "second"),
+                LinearConstraint((0, 2), 1, EQUAL, "third"),
             ),
         )
-        with pytest.raises(InfeasibleStructureError):
+        with pytest.raises(InfeasibleStructureError, match="first, second, third admit no"):
             derive_constraint_groups(cs)
 
 
@@ -152,17 +152,13 @@ class TestInitialState:
         expected[0b001] = expected[0b110] = 1 / math.sqrt(2)
         assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
-    def test_density_engine_matches_statevector(self, toy):
-        spec = AnsatzSpec.constraint_aware(toy.constraints, depth=1, lam=0.7)
-        sv = prepare_initial_state(spec, "statevector")
-        dm = prepare_initial_state(spec, "density")
-        assert isinstance(dm, DensityMatrix)
-        assert np.allclose(measure_distribution(sv), measure_distribution(dm), atol=1e-12)
-
-    def test_unknown_engine(self, toy):
-        spec = AnsatzSpec.standard(6, 1)
-        with pytest.raises(ValueError):
-            prepare_initial_state(spec, "tensor-network")
+    @pytest.mark.parametrize("patterns", [("00", "01"), ("10", "11")])
+    def test_recipe_rejects_non_complementary_patterns(self, patterns):
+        component = ConstraintComponent((0, 1), patterns)
+        spec = AnsatzSpec(n=2, depth=0, components=(component,))
+        with pytest.raises(ValueError, match="a pattern and its complement") as err:
+            init_circuit(spec)
+        assert str(component) in str(err.value)
 
 
 class TestMixer:

@@ -349,6 +349,30 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert f"error: {flag} must be finite and > 0, got {float(value)}" in err
 
+    @pytest.mark.parametrize(
+        "distances,message",
+        [
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "every link costs 0, so the default penalty"),
+            ([[0, 5e-324], [5e-324, 0]], "link costs are too small"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "encode", "run"])
+    def test_degenerate_link_costs_rejected(self, tmp_path, capsys, distances, message, command):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"distances": distances, "vehicles": 1}))
+        argv = [command, str(inst)]
+        if command == "run":
+            argv = ["run", "--instance", str(inst), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_encode_zero_cost_with_explicit_penalty(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"distances": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "vehicles": 1}))
+        assert main(["encode", str(inst), "--penalty", "5"]) == 0
+        assert "energy scale s = " in capsys.readouterr().out
+
     def test_solve_reports_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,13 +1,16 @@
 """Property tests over random valid instances, angles and noise levels.
 
-Each property draws a 2- or 3-node instance with 1 to m - 1 vehicles, so
+Most properties draw a 2- or 3-node instance with 1 to m - 1 vehicles, so
 both the component-free (2-node) and the component-bearing (3-node) shapes
-of the hybrid ansatz are exercised.  Example counts are capped to keep the
-suite to a few seconds; ``derandomize`` makes every run draw the same cases.
+of the hybrid ansatz are exercised; one draws bare one-hot constraint sets
+on up to 8 variables.  Example counts are capped to keep the suite to a few
+seconds; ``derandomize`` makes every run draw the same cases.
 """
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +19,14 @@ from vrpqaoa.ansatz import (
     BETA_BOUNDS,
     GAMMA_BOUNDS,
     AnsatzSpec,
+    InfeasibleStructureError,
     ParameterPoint,
+    derive_constraint_groups,
     evolve,
     prepare_initial_state,
 )
 from vrpqaoa.cli import build_problem
-from vrpqaoa.instance import VrpInstance
+from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance
 from vrpqaoa.optimize import ObjectiveKind, final_distribution, nelder_mead
 from vrpqaoa.simcore import NoiseModel, measure_distribution
 
@@ -37,7 +42,7 @@ def problems(draw):
     rows = tuple(
         tuple(0.0 if i == j else draw(distance) for j in range(m)) for i in range(m)
     )
-    # all links free: the default penalty is 0, which penalize rejects
+    # all links free: the default penalty is 0, which default_penalty rejects
     assume(any(map(any, rows)))
     vehicles = draw(st.integers(min_value=1, max_value=m - 1))
     return build_problem(VrpInstance(distances=rows, vehicles=vehicles))
@@ -64,6 +69,43 @@ def cases(draw):
     else:
         spec = AnsatzSpec.standard(problem.qubo.n, depth)
     return problem, spec, draw(params(depth))
+
+
+@st.composite
+def one_hot_pairs(draw):
+    """Exactly-one constraints x_a + x_b = 1 on up to 8 variables, odd cycles included."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    var = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(var, var).filter(lambda p: p[0] != p[1]), max_size=10))
+    return ConstraintSet(n=n, constraints=tuple(LinearConstraint(p, 1, EQUAL) for p in pairs))
+
+
+@PROPERTY_SETTINGS
+@given(one_hot_pairs())
+def test_constraint_groups_match_brute_force(cs):
+    constrained = sorted({q for c in cs for q in c.variables})
+    satisfying = {
+        tuple(values[q] for q in constrained)
+        for values in itertools.product((0, 1), repeat=cs.n)
+        if all(c.holds(values) for c in cs)
+    }
+    if not satisfying:
+        with pytest.raises(InfeasibleStructureError):
+            derive_constraint_groups(cs)
+        return
+    components = derive_constraint_groups(cs).components
+    for comp in components:
+        first, second = comp.patterns
+        assert first[0] == "0"
+        assert second == "".join("1" if b == "0" else "0" for b in first)
+    assert sorted(q for comp in components for q in comp.qubits) == constrained
+    derived = set()
+    for choice in itertools.product(*(comp.patterns for comp in components)):
+        value = {
+            q: int(b) for comp, bits in zip(components, choice) for q, b in zip(comp.qubits, bits)
+        }
+        derived.add(tuple(value[q] for q in constrained))
+    assert derived == satisfying
 
 
 @PROPERTY_SETTINGS

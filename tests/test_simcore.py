@@ -219,8 +219,8 @@ class TestDepolarize:
         assert np.allclose(rho.rho, np.eye(2) / 2, atol=1e-12)
 
     def test_full_mixing_leaves_other_qubits(self):
-        state = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
-        rho = DensityMatrix.from_statevector(state)
+        a = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+        rho = DensityMatrix(2, np.outer(a, a.conj()))
         depolarize(rho, (1,), 1.0)
         # qubit 0 marginal was maximally mixed already and must stay so;
         # correlations with the depolarized qubit disappear
@@ -280,8 +280,10 @@ class TestNoiseModel:
             NoiseModel(p01=0.6)
 
     def test_zero_flag(self):
-        assert NoiseModel().is_zero
-        assert not NoiseModel(p1=1e-4).is_zero
+        assert not NoiseModel().has_gate_noise
+        assert not NoiseModel(p01=0.1, p10=0.1).has_gate_noise
+        assert NoiseModel(p1=1e-4).has_gate_noise
+        assert NoiseModel(p2=1e-4).has_gate_noise
 
 
 class TestMeasureDistribution:
