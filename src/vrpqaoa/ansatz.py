@@ -17,14 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .encode import CostOperator, IsingCoefficients
-from .instance import EQUAL, ConstraintSet, index_bitstring
+from .instance import EQUAL, ConstraintSet, _bit_column, index_bitstring
 from .simcore import (
+    SQRT2_INV,
     DensityMatrix,
     GateOp,
     NoiseModel,
     State,
     StateVector,
-    apply_diagonal_phase,
+    _contract,
     apply_gate,
 )
 
@@ -164,6 +165,29 @@ class AnsatzSpec:
         # exact evaluation about 1 ms, and every evaluation loads the state
         return StateVector.from_support(self.n, self.support_bitstrings())
 
+    @cached_property
+    def _mixer_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and real eigenbasis V of the mixer generator, once per spec.
+
+        XX+YY on each pair and lam*X on each other qubit act on disjoint qubits
+        and commute, so one layer is V exp(-i beta Lambda) V^T with V the
+        product of the block eigenbases: a Hadamard per X qubit (eigenvalues
+        +-lam) and {|00>, |01>+|10>, |01>-|10>, |11>} (over sqrt 2) per pair
+        (eigenvalues 0, 2, -2, 0).  Every block is symmetric, so V = V^T.
+        """
+        s, n, dim = SQRT2_INV, self.n, 1 << self.n
+        xy_block = np.array([[1, 0, 0, 0], [0, s, s, 0], [0, s, -s, 0], [0, 0, 0, 1]])
+        hadamard = np.array([[s, s], [s, -s]])
+        basis = np.eye(dim).reshape([2] * n + [dim])
+        eigen = np.zeros(dim)
+        for a, b in self.xy_pairs:
+            basis = _contract(basis, xy_block, (a, b))
+            eigen += 2.0 * (_bit_column(n, b) - _bit_column(n, a))
+        for q in self.x_qubits:
+            basis = _contract(basis, hadamard, (q,))
+            eigen += self.lam * (1 - 2 * _bit_column(n, q))
+        return eigen, np.ascontiguousarray(basis.reshape(dim, dim))
+
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -297,10 +321,12 @@ def evolve(
 ) -> State:
     """Run the p-layer alternation of cost and mixer from the initial state.
 
-    The exact engine consumes a diagonal CostOperator and evolves a pure
-    statevector; the gate engine consumes Ising coefficients, synthesizes
-    RZZ/RZ phase gates, and switches to the density-matrix representation
-    whenever gate noise is present.
+    The exact engine (regimes I and II) consumes a diagonal CostOperator and
+    evolves a pure statevector: each layer is the cost phase, then the mixer
+    in closed form through the spec's real eigenbasis, with no gate list.
+    The gate engine is its reference: it consumes Ising coefficients, runs
+    the RZZ/RZ cost gates and the mixer gates one by one, and switches to
+    the density-matrix representation whenever gate noise is present.
     """
     if params.depth != spec.depth:
         raise ValueError(f"expected {spec.depth} layers of parameters, got {params.depth}")
@@ -309,10 +335,19 @@ def evolve(
             raise TypeError("exact engine needs a CostOperator diagonal")
         if noise is not None:
             raise ValueError("the exact engine is noiseless; use engine='gate'")
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        if cost.n != spec.n:
+            raise ValueError("cost diagonal does not match the state size")
+        eigen, basis = spec._mixer_basis
         state = prepare_initial_state(spec)
         for gamma, beta in zip(params.gamma, params.beta):
-            apply_diagonal_phase(state, cost, gamma, scale)
-            apply_mixer_layer(state, spec, beta)
+            # real matmuls on the (2^n, 2) float view: a complex product goes to
+            # OpenBLAS zgemv, whose threads stall when processes share the cores
+            amps = state.amplitudes * np.exp(-1j * gamma * cost.diagonal / scale)
+            amps = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
+            amps *= np.exp(-1j * beta * eigen)
+            state.amplitudes = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
         return state
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")

@@ -23,7 +23,6 @@ import numpy as np
 from .instance import (
     BRUTE_FORCE_LIMIT,
     EQUAL,
-    TIE_TOL,
     ConstraintSet,
     InstanceTooLargeError,
     LinearConstraint,
@@ -31,6 +30,7 @@ from .instance import (
     VrpInstance,
     _as_values,
     _bit_column,
+    tied_minima,
 )
 
 CONVENTION_A = "A"
@@ -222,9 +222,7 @@ class CostOperator:
         return float(self.diagonal[int(bits, 2)])
 
     def argmin_bitstrings(self) -> tuple[str, ...]:
-        best = float(self.diagonal.min())
-        hits = np.flatnonzero(self.diagonal <= best + TIE_TOL)
-        return tuple(format(int(i), f"0{self.n}b") for i in hits)
+        return tuple(format(int(i), f"0{self.n}b") for i in tied_minima(self.diagonal))
 
 
 def to_cost_operator(qubo: QuboProblem) -> CostOperator:

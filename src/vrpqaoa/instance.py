@@ -32,7 +32,8 @@ MAX_NODES = 3
 #: Largest variable count accepted by exhaustive enumeration.
 BRUTE_FORCE_LIMIT = 24
 
-#: Values within this distance of a minimum count as tied for it.
+#: A value ties for the minimum when it exceeds it by at most this fraction of
+#: the largest magnitude compared, so ties do not depend on the cost unit.
 TIE_TOL = 1e-9
 
 
@@ -43,6 +44,11 @@ class InstanceTooLargeError(ValueError):
 def index_bitstring(index: int, n: int) -> str:
     """Printed bitstring of an integer index (leftmost character = bit 0 = MSB)."""
     return format(index, f"0{n}b")
+
+
+def tied_minima(values: np.ndarray) -> np.ndarray:
+    """Indices of the values tied for the minimum, in ascending order."""
+    return np.flatnonzero(values <= values.min() + TIE_TOL * np.abs(values).max())
 
 
 @lru_cache(maxsize=64)
@@ -307,6 +313,6 @@ def brute_force_optimum(inst: VrpInstance, qubo: "QuboProblem") -> BruteForceRes
     if count == 0:
         return BruteForceResult(qubo_argmin, qubo_min, (), math.inf, 0)
     best = float(costs[feasible].min())
-    winners = feasible & (costs <= best + TIE_TOL)
-    optima = tuple(index_bitstring(int(i), n) for i in np.flatnonzero(winners))
+    winners = np.flatnonzero(feasible)[tied_minima(costs[feasible])]
+    optima = tuple(index_bitstring(int(i), n) for i in winners)
     return BruteForceResult(qubo_argmin, qubo_min, optima, best, count)

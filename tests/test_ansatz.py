@@ -17,7 +17,8 @@ from vrpqaoa.ansatz import (
     mixer_circuit,
     prepare_initial_state,
 )
-from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint
+from vrpqaoa.encode import CostOperator
+from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance, build_constraints
 from vrpqaoa.simcore import (
     GateOp,
     StateVector,
@@ -26,6 +27,17 @@ from vrpqaoa.simcore import (
 )
 
 TOY_SUPPORT = ("000101", "011001", "100110", "111010")
+
+
+@pytest.fixture(scope="module")
+def gen1():
+    """Constraints of the 1-vehicle instance ``perfbench.sweep.generate_instance(1)``,
+    whose XY pairs are not adjacent qubits."""
+    cs = build_constraints(
+        VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
+    )
+    assert derive_constraint_groups(cs).xy_pairs == ((2, 4), (0, 1))
+    return cs
 
 
 def pattern_violation_probability(probs: np.ndarray, pairs) -> float:
@@ -212,6 +224,35 @@ class TestMixer:
             apply_mixer_layer(state, spec, beta)
         assert np.allclose(weight_distribution(state.probabilities()), before, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda toy, gen1: AnsatzSpec.standard(6, 1),
+            lambda toy, gen1: AnsatzSpec.constraint_aware(toy.constraints, 1, 0.0),
+            lambda toy, gen1: AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7),
+            lambda toy, gen1: AnsatzSpec.constraint_aware(toy.constraints, 1, 1.5),
+            lambda toy, gen1: AnsatzSpec.constraint_aware(gen1, 1, 0.7),
+            lambda toy, gen1: AnsatzSpec.standard(2, 1),
+            lambda toy, gen1: AnsatzSpec(n=2, depth=1, lam=0.4, xy_pairs=((0, 1),)),
+        ],
+        ids=["standard", "toy-lam0", "toy-lam0.7", "toy-lam1.5", "gen1", "two-qubit", "one-pair"],
+    )
+    def test_closed_form_layer_matches_gates(self, toy, gen1, make_spec):
+        spec = make_spec(toy, gen1)
+        eigen, basis = spec._mixer_basis
+        # real, not complex: OpenBLAS threads zgemv, which stalls when processes share cores
+        assert basis.dtype == np.float64 and basis.flags["C_CONTIGUOUS"]
+        assert np.array_equal(basis, basis.T)
+        assert np.allclose(basis.T @ basis, np.eye(1 << spec.n), rtol=0, atol=1e-14)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            amps = rng.normal(size=1 << spec.n) + 1j * rng.normal(size=1 << spec.n)
+            amps /= np.linalg.norm(amps)
+            beta = float(rng.uniform(0, math.pi))
+            closed = basis @ (np.exp(-1j * beta * eigen) * (basis.T @ amps))
+            gates = apply_mixer_layer(StateVector(spec.n, amps), spec, beta).amplitudes
+            assert np.max(np.abs(closed - gates)) <= 1e-12
+
     def test_standard_mixer_gate_list(self):
         ops = mixer_circuit(AnsatzSpec.standard(3, 1), 0.4)
         assert [op.name for op in ops] == ["rx", "rx", "rx"]
@@ -291,6 +332,16 @@ class TestEvolve:
             evolve(spec, toy.cost.ising, params, engine="exact")
         with pytest.raises(TypeError):
             evolve(spec, toy.cost.phase_diagonal, params, engine="gate")
+
+    def test_exact_engine_rejects_bad_scale_and_size(self, toy):
+        spec = AnsatzSpec.standard(6, 1)
+        params = ParameterPoint((0.1,), (0.2,))
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                evolve(spec, toy.cost.phase_diagonal, params, scale=scale)
+        wrong = CostOperator(n=5, diagonal=np.zeros(32))
+        with pytest.raises(ValueError, match="cost diagonal does not match the state size"):
+            evolve(spec, wrong, params)
 
 
 class TestCircuitDump:

@@ -194,6 +194,23 @@ class TestBruteForce:
         assert oracle.feasible_optima == ("11",)
         assert oracle.feasible_cost == pytest.approx(7.0)
 
+    @staticmethod
+    def _oracle(distances):
+        inst = VrpInstance(distances=distances, vehicles=1)
+        return brute_force_optimum(inst, penalize(inst, build_constraints(inst)))
+
+    def test_ties_are_relative_to_the_cost_scale(self):
+        # tours of 3e-10 and 7e-10 differ by less than 1e-9 but are not tied
+        oracle = self._oracle(((0, 1e-10, 3e-10), (2e-10, 0, 1e-10), (1e-10, 2e-10, 0)))
+        assert oracle.feasible_optima == ("100110",)
+        assert oracle.feasible_cost == pytest.approx(3e-10, rel=1e-9)
+        assert oracle.qubo_argmin == ("100110",)
+
+    def test_exact_tie_reports_both_tours(self):
+        oracle = self._oracle(((0, 10, 10), (10, 0, 10), (10, 10, 0)))
+        assert oracle.feasible_optima == ("011001", "100110")
+        assert oracle.qubo_argmin == ("011001", "100110")
+
     def test_agrees_with_direct_enumeration(self, toy):
         best = math.inf
         winners = []
