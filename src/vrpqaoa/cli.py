@@ -46,6 +46,7 @@ from .instance import (
 )
 from .metrics import RunMetrics, aggregate, run_metrics
 from .optimize import (
+    REGIMES,
     ObjectiveKind,
     OptimizerConfig,
     final_distribution,
@@ -53,8 +54,6 @@ from .optimize import (
     write_trace_csv,
 )
 from .simcore import NoiseModel, ShotHistogram, sample
-
-REGIMES = ("I", "II", "III")
 
 DEFAULT_LAMBDAS = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_SEEDS = tuple(range(30))
@@ -100,15 +99,8 @@ def build_problem(inst: VrpInstance) -> Problem:
 
 
 def regime_objective_kind(regime: str, noise: NoiseModel | None) -> ObjectiveKind:
-    if regime == "I":
-        return ObjectiveKind.exact()
-    if regime == "II":
-        return ObjectiveKind.shots()
-    if regime == "III":
-        if noise is None:
-            raise ValueError("regime III needs a noise model")
-        return ObjectiveKind.noisy(noise)
-    raise ValueError(f"unknown regime {regime!r}")
+    """The regime's objective kind; only regime III keeps the noise model."""
+    return ObjectiveKind(regime, noise if regime == "III" else None)
 
 
 def derive_run_seed(master: int, model: str, lam: float | None, seed_index: int):
@@ -256,16 +248,20 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
+        regime_objective_kind(self.regime, self.noise)  # raises on a bad regime or missing noise
         if self.ansatz not in (STANDARD, CONSTRAINT_AWARE, "both"):
             raise ValueError("ansatz must be standard, constraint_aware, or both")
         if self.ansatz != STANDARD and not self.lambdas:
             raise ValueError("constraint-aware sweeps need at least one lambda")
-        if self.regime == "III" and self.noise is None:
-            raise ValueError("regime III requires a noise model")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed {self.master_seed} is negative; it must be >= 0")
+        for i, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ValueError(f"seed {seed} is negative; seeds must be >= 0")
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} is repeated")
         if self.depth < 1:
             raise ValueError(f"depth (--p) must be >= 1, got {self.depth}")
         if self.workers is not None and self.workers < 1:

@@ -25,11 +25,9 @@ from .ansatz import (
 from .encode import CompiledCost
 from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
 
-EXACT_EXPECTATION = "exact_expectation"
-SHOT_ESTIMATE = "shot_estimate"
-NOISY_SHOT_ESTIMATE = "noisy_shot_estimate"
-
-_KINDS = (EXACT_EXPECTATION, SHOT_ESTIMATE, NOISY_SHOT_ESTIMATE)
+#: Evaluation regimes: exact statevector (I), finite shots (II) and noisy
+#: finite shots on the density-matrix engine (III).
+REGIMES = ("I", "II", "III")
 
 #: Offset of each coordinate of the initial Nelder-Mead simplex.
 NM_STEP = 0.25
@@ -54,33 +52,33 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class ObjectiveKind:
-    """Which evaluator to run, and the noise model for the noisy one."""
+    """The evaluation regime, and the noise model of regime III."""
 
-    kind: str
+    regime: str
     noise: NoiseModel | None = None
     noisy_init: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == NOISY_SHOT_ESTIMATE and self.noise is None:
-            raise ValueError("noisy objective needs a NoiseModel")
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown regime {self.regime!r}; regimes are {', '.join(REGIMES)}")
+        if self.regime == "III" and self.noise is None:
+            raise ValueError("regime III needs a noise model")
 
     @classmethod
     def exact(cls) -> "ObjectiveKind":
-        return cls(kind=EXACT_EXPECTATION)
+        return cls("I")
 
     @classmethod
     def shots(cls) -> "ObjectiveKind":
-        return cls(kind=SHOT_ESTIMATE)
+        return cls("II")
 
     @classmethod
     def noisy(cls, noise: NoiseModel) -> "ObjectiveKind":
-        return cls(kind=NOISY_SHOT_ESTIMATE, noise=noise)
+        return cls("III", noise)
 
     @property
     def stochastic(self) -> bool:
-        return self.kind != EXACT_EXPECTATION
+        return self.regime != "I"
 
 
 def final_distribution(
@@ -93,7 +91,7 @@ def final_distribution(
 
     In the noisy regime it includes the noise model's readout confusion.
     """
-    if kind.kind == NOISY_SHOT_ESTIMATE:
+    if kind.regime == "III":
         state = evolve(
             spec,
             cost.ising,
@@ -103,10 +101,7 @@ def final_distribution(
             noise=kind.noise,
             noisy_init=kind.noisy_init,
         )
-        probs = measure_distribution(state)
-        if kind.noise.has_readout_error:
-            probs = apply_readout_confusion(probs, kind.noise.p01, kind.noise.p10)
-        return probs
+        return apply_readout_confusion(measure_distribution(state), kind.noise.p01, kind.noise.p10)
     state = evolve(spec, cost.phase_diagonal, params, engine="exact", scale=cost.scale)
     return measure_distribution(state)
 
@@ -122,7 +117,7 @@ def objective(
     """Scaled energy at the given angles under the chosen evaluator."""
     probs = final_distribution(spec, cost, params, kind)
     diag = cost.full_diagonal.diagonal
-    if kind.kind == EXACT_EXPECTATION:
+    if not kind.stochastic:
         return float(probs @ diag) / cost.scale
     if rng is None:
         raise ValueError("shot-based objectives need a random generator")
@@ -255,7 +250,7 @@ def minimize(
 
         def f(vec: np.ndarray) -> float:
             point = ParameterPoint.from_vector(vec)
-            return objective(point, spec, cost, kind, cfg, rng=rng if kind.stochastic else None)
+            return objective(point, spec, cost, kind, cfg, rng=rng)
 
         best_x, best_f, history = nelder_mead(f, start, lower, upper, cfg.max_evals)
         trace.extend((r, i, v) for i, v in enumerate(history))

@@ -346,8 +346,7 @@ def apply_readout_confusion(probs: np.ndarray, p01: float, p10: float) -> np.nda
     confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
     tensor = probs.reshape([2] * n)
     for q in range(n):
-        tensor = np.tensordot(confusion, tensor, axes=([1], [q]))
-        tensor = np.moveaxis(tensor, 0, q)
+        tensor = _contract(tensor, confusion, (q,))
     out = tensor.reshape(-1)
     return out / out.sum()
 

@@ -89,11 +89,11 @@ class TestSeedDerivation:
 
 class TestExperimentConfig:
     def test_regime_three_requires_noise(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="regime III needs a noise model"):
             tiny_config(tmp_path, regime="III", noise=None)
 
     def test_unknown_regime(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown regime 'IV'"):
             tiny_config(tmp_path, regime="IV")
 
     def test_lambda_required_for_constraint_aware(self, tmp_path):
@@ -265,6 +265,8 @@ class TestCommandLine:
             (["--lambda", "0.7,0.7"], "lambda 0.7 is repeated"),
             (["--lambda", "inf"], "lambda inf is not finite"),
             (["--lambda", "nan"], "lambda nan is not finite"),
+            (["--seeds", "1,1"], "seed 1 is repeated"),
+            (["--seeds=-1,2"], "seed -1 is negative; seeds must be >= 0"),
         ],
     )
     def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
@@ -284,6 +286,10 @@ class TestCommandLine:
             ({"regime": "III", "noise": {"p_1": 0.1}}, "unknown config key 'noise.p_1'"),
             ({"depth": 2.5}, "config key 'depth' must be int, got 2.5"),
             ([{"depth": 1}], "the config must be a JSON object"),
+            ({"regime": "IV"}, "unknown regime 'IV'"),
+            ({"seeds": [1, 1]}, "seed 1 is repeated"),
+            ({"seeds": [-1, 2]}, "seed -1 is negative; seeds must be >= 0"),
+            ({"master_seed": -5}, "master_seed -5 is negative; it must be >= 0"),
         ],
     )
     def test_run_rejects_bad_config_file(self, tmp_path, capsys, config, message):
@@ -402,11 +408,15 @@ class TestCommandLine:
 
 class TestRegimeKinds:
     def test_mapping(self):
-        assert regime_objective_kind("I", None).kind == "exact_expectation"
-        assert regime_objective_kind("II", None).kind == "shot_estimate"
+        assert regime_objective_kind("I", None).regime == "I"
+        assert regime_objective_kind("II", None).regime == "II"
         noisy = regime_objective_kind("III", NOISE_PRESETS["paper"])
-        assert noisy.kind == "noisy_shot_estimate"
+        assert noisy.regime == "III"
         assert noisy.noise is not None
+
+    @pytest.mark.parametrize("regime", ["I", "II"])
+    def test_noise_is_dropped_outside_regime_three(self, regime):
+        assert regime_objective_kind(regime, NOISE_PRESETS["paper"]).noise is None
 
     def test_regime_three_needs_noise(self):
         with pytest.raises(ValueError):

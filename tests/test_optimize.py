@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE, all_bitstrings, penalty_sum_value
-from vrpqaoa.ansatz import AnsatzSpec, ConstraintComponent, ParameterPoint
+from vrpqaoa.ansatz import AnsatzSpec, ConstraintComponent, ParameterPoint, evolve
 from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
@@ -15,7 +15,7 @@ from vrpqaoa.optimize import (
     objective,
     write_trace_csv,
 )
-from vrpqaoa.simcore import NoiseModel, sample
+from vrpqaoa.simcore import NoiseModel, measure_distribution, sample
 
 PAPER_NOISE = NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
 
@@ -144,8 +144,21 @@ class TestObjective:
         assert np.abs(noisy - clean).max() < 0.05  # but stays perturbative
 
     def test_noisy_kind_needs_noise_model(self):
-        with pytest.raises(ValueError):
-            ObjectiveKind(kind="noisy_shot_estimate")
+        with pytest.raises(ValueError, match="regime III needs a noise model"):
+            ObjectiveKind(regime="III")
+
+    def test_unknown_regime_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown regime 'IV'"):
+            ObjectiveKind("IV")
+
+    def test_zero_readout_error_leaves_distribution_unchanged(self, toy):
+        spec = AnsatzSpec.standard(6, 1)
+        params = ParameterPoint((0.4,), (0.3,))
+        noise = NoiseModel(p1=0.00015, p2=0.00125)
+        state = evolve(spec, toy.cost.ising, params, engine="gate", scale=toy.cost.scale,
+                       noise=noise)
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
+        assert np.array_equal(probs, measure_distribution(state))
 
     def test_scale_change_is_a_reparameterization(self, toy):
         # evolving at scale c*s with angles gamma equals evolving at scale s
