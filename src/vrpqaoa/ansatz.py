@@ -315,7 +315,8 @@ def evolve(
     cost: CostOperator | IsingCoefficients,
     params: ParameterPoint,
     engine: str = "exact",
-    scale: float = 1.0,
+    *,
+    scale: float,
     noise: NoiseModel | None = None,
     noisy_init: bool = True,
 ) -> State:

@@ -94,7 +94,7 @@ def build_problem(inst: VrpInstance) -> Problem:
     cs = build_constraints(inst)
     qubo = penalize(inst, cs)
     cost = CompiledCost.from_qubo(qubo)
-    oracle = brute_force_optimum(inst, qubo)
+    oracle = brute_force_optimum(inst, cs, cost.full_diagonal.diagonal)
     return Problem(instance=inst, constraints=cs, qubo=qubo, cost=cost, oracle=oracle)
 
 
@@ -215,7 +215,7 @@ def run_cells(
             on_record(record)
 
     if workers is not None and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for future in as_completed([pool.submit(_run_task, task) for task in tasks]):
                 keep(future.result())
     else:
@@ -249,6 +249,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         regime_objective_kind(self.regime, self.noise)  # raises on a bad regime or missing noise
+        if self.regime != "III" and self.noise not in (None, NoiseModel()):
+            raise ValueError(f"regime {self.regime} is noiseless; noise applies to regime III only")
         if self.ansatz not in (STANDARD, CONSTRAINT_AWARE, "both"):
             raise ValueError("ansatz must be standard, constraint_aware, or both")
         if self.ansatz != STANDARD and not self.lambdas:
@@ -272,13 +274,13 @@ class ExperimentConfig:
                 raise ValueError(f"lambda {lam} is not finite")
             if lam < 0:
                 raise ValueError(f"lambda {lam:g} is negative; lambdas must be >= 0")
-            # derive_run_seed and the run-file name key runs by round(lambda * 1000)
-            key = round(lam * 1000)
+            # derive_run_seed keys runs by round(lambda * 1000), the run files by label
+            key, label = round(lam * 1000), _cell_label(CONSTRAINT_AWARE, lam)
             if not math.isclose(lam * 1000, key, rel_tol=0.0, abs_tol=1e-6):
                 raise ValueError(f"lambda {lam!r} is not a multiple of 0.001")
-            if key in keys:
-                raise ValueError(f"lambda {lam:g} is repeated")
-            keys.add(key)
+            if key in keys or label in keys:
+                raise ValueError(f"lambda {lam!r} is repeated")
+            keys.update((key, label))
 
     def cells(self) -> list[tuple[str, float | None]]:
         out: list[tuple[str, float | None]] = []
@@ -294,7 +296,7 @@ def _fmt(value: float) -> str:
 
 
 def _cell_label(model: str, lam: float | None) -> str:
-    return model if lam is None else f"{model}_lam{lam:g}"
+    return model if lam is None else f"{model}_lam{_fmt(lam)}"
 
 
 def aggregate_rows(records: list[RunRecord]) -> list[dict]:

@@ -30,7 +30,6 @@ from .instance import (
     VrpInstance,
     _as_values,
     _bit_column,
-    tied_minima,
 )
 
 CONVENTION_A = "A"
@@ -165,7 +164,7 @@ class IsingCoefficients:
         return 1 - 2 * bit
 
 
-def to_ising(qubo: QuboProblem, convention: str = CONVENTION_A) -> IsingCoefficients:
+def to_ising(qubo: QuboProblem, convention: str) -> IsingCoefficients:
     """Rewrite the QUBO over spins; A and B share J and c0 and differ in h's sign."""
     if convention not in (CONVENTION_A, CONVENTION_B):
         raise ValueError(f"unknown spin convention {convention!r}")
@@ -221,9 +220,6 @@ class CostOperator:
     def value(self, bits: str) -> float:
         return float(self.diagonal[int(bits, 2)])
 
-    def argmin_bitstrings(self) -> tuple[str, ...]:
-        return tuple(format(int(i), f"0{self.n}b") for i in tied_minima(self.diagonal))
-
 
 def to_cost_operator(qubo: QuboProblem) -> CostOperator:
     """Expand the QUBO into a dense diagonal over all 2^n basis states."""
@@ -251,18 +247,15 @@ class CompiledCost:
     scale: float
 
     @classmethod
-    def from_qubo(cls, qubo: QuboProblem, scale: float | None = None) -> "CompiledCost":
+    def from_qubo(cls, qubo: QuboProblem) -> "CompiledCost":
         ising = to_ising(qubo, CONVENTION_B)
-        if scale is None:
-            scale = default_energy_scale(ising)
-        check_positive("energy scale", scale)
         full = to_cost_operator(qubo)
         return cls(
             qubo=qubo,
             ising=ising,
             full_diagonal=full,
             phase_diagonal=CostOperator(n=qubo.n, diagonal=full.diagonal - ising.constant),
-            scale=float(scale),
+            scale=default_energy_scale(ising),
         )
 
 

@@ -15,12 +15,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, TYPE_CHECKING
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .encode import QuboProblem
 
 EQUAL = "equal"
 AT_LEAST = "at-least"
@@ -289,18 +286,18 @@ class BruteForceResult:
     feasible_count: int
 
 
-def brute_force_optimum(inst: VrpInstance, qubo: "QuboProblem") -> BruteForceResult:
+def brute_force_optimum(
+    inst: VrpInstance, cs: ConstraintSet, qubo_values: np.ndarray
+) -> BruteForceResult:
     """Scan all 2^n assignments for the QUBO minimum and the feasible cost minimum.
 
-    The feasible side is computed from the raw constraints and link costs,
+    ``qubo_values[int(bits, 2)]`` is the QUBO's value at ``bits``.  The
+    feasible side is computed from the raw constraints and link costs,
     independently of the penalty encoding, so it doubles as an oracle for it.
     """
-    from .encode import to_cost_operator  # encode imports this module
-
-    n = qubo.n
-    qubo_values = to_cost_operator(qubo)
-    qubo_min = float(qubo_values.diagonal.min())
-    qubo_argmin = qubo_values.argmin_bitstrings()
+    n = cs.n
+    qubo_min = float(qubo_values.min())
+    qubo_argmin = tuple(index_bitstring(int(i), n) for i in tied_minima(qubo_values))
 
     idx = LinkVariableIndex.for_nodes(inst.node_count)
     costs = np.zeros(1 << n)
@@ -308,7 +305,7 @@ def brute_force_optimum(inst: VrpInstance, qubo: "QuboProblem") -> BruteForceRes
         w = inst.distance(i, j)
         if w:
             costs += w * _bit_column(n, q)
-    feasible = feasibility_mask(build_constraints(inst), n)
+    feasible = feasibility_mask(cs, n)
     count = int(feasible.sum())
     if count == 0:
         return BruteForceResult(qubo_argmin, qubo_min, (), math.inf, 0)

@@ -214,7 +214,6 @@ class OptimizeResult:
     params: ParameterPoint
     objective: float
     trace: list[tuple[int, int, float]]
-    evaluations: int
 
 
 def _parameter_bounds(depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +267,6 @@ def minimize(
         params=candidates[winner][0],
         objective=float(scores[winner]),
         trace=trace,
-        evaluations=len(trace),
     )
 
 

@@ -315,7 +315,7 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
     return state
 
 
-def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: float = 1.0) -> State:
+def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: float) -> State:
     """Multiply each basis amplitude by exp(-i*gamma*C(x)/scale)."""
     if scale <= 0:
         raise ValueError("scale must be positive")

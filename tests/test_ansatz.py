@@ -323,15 +323,15 @@ class TestEvolve:
     def test_depth_mismatch_rejected(self, toy):
         spec = AnsatzSpec.standard(6, 2)
         with pytest.raises(ValueError):
-            evolve(spec, toy.cost.phase_diagonal, ParameterPoint((0.1,), (0.2,)))
+            evolve(spec, toy.cost.phase_diagonal, ParameterPoint((0.1,), (0.2,)), scale=toy.cost.scale)
 
     def test_engine_cost_type_mismatch(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.1,), (0.2,))
         with pytest.raises(TypeError):
-            evolve(spec, toy.cost.ising, params, engine="exact")
+            evolve(spec, toy.cost.ising, params, engine="exact", scale=toy.cost.scale)
         with pytest.raises(TypeError):
-            evolve(spec, toy.cost.phase_diagonal, params, engine="gate")
+            evolve(spec, toy.cost.phase_diagonal, params, engine="gate", scale=toy.cost.scale)
 
     def test_exact_engine_rejects_bad_scale_and_size(self, toy):
         spec = AnsatzSpec.standard(6, 1)
@@ -341,7 +341,7 @@ class TestEvolve:
                 evolve(spec, toy.cost.phase_diagonal, params, scale=scale)
         wrong = CostOperator(n=5, diagonal=np.zeros(32))
         with pytest.raises(ValueError, match="cost diagonal does not match the state size"):
-            evolve(spec, wrong, params)
+            evolve(spec, wrong, params, scale=toy.cost.scale)
 
 
 class TestCircuitDump:

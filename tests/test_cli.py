@@ -1,11 +1,13 @@
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import FEASIBLE, FEASIBLE_COST
 from test_instance import MALFORMED_INSTANCES
+from vrpqaoa import cli, encode, instance
 from vrpqaoa.cli import (
     ExperimentConfig,
     NOISE_PRESETS,
@@ -17,6 +19,7 @@ from vrpqaoa.cli import (
     load_instance,
     main,
     regime_objective_kind,
+    run_cells,
     run_experiment,
     run_single,
     solve_report,
@@ -69,6 +72,24 @@ class TestReports:
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_instance("/nonexistent/nowhere.json")
+
+    def test_problem_build_derives_constraints_and_cost_table_once(self, monkeypatch):
+        calls = {"build_constraints": 0, "to_cost_operator": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((cli, "build_constraints"), (instance, "build_constraints"),
+                             (encode, "to_cost_operator")):
+            counted(module, name)
+        build_problem(load_instance(toy_instance_path()))
+        assert calls == {"build_constraints": 1, "to_cost_operator": 1}
 
 
 class TestSeedDerivation:
@@ -155,6 +176,21 @@ class TestRunExperiment:
         with open(os.path.join(cfg.output_dir, "aggregate.csv"), "rb") as fh:
             second = fh.read()
         assert first == second
+
+    def test_pool_is_no_larger_than_the_task_count(self, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):  # threads: the test starts no process
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        problem = build_problem(load_instance(toy_instance_path()))
+        cfg = OptimizerConfig(restarts=1, max_evals=4, shots_final=64)
+        records = run_cells(problem, [("standard", None)], (0, 1),
+                            regime_objective_kind("I", None), 1, cfg, workers=4)
+        assert sizes == [2]
+        assert [r.seed for r in records] == [0, 1]
 
     def test_worker_pool_matches_serial(self, tmp_path):
         serial = run_experiment(tiny_config(tmp_path / "a"))
@@ -244,6 +280,21 @@ class TestCommandLine:
         run_file = out_dir / "runs" / "standard_seed0.json"
         assert json.loads(run_file.read_text())["shots"] == 128
 
+    def test_nearby_large_lambdas_write_separate_run_files(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"optimizer": FAST_OPT}))
+        out_dir = tmp_path / "o"
+        assert main([
+            "run", "--config", str(config_path), "--instance", toy_instance_path(),
+            "--regime", "I", "--lambda", "1234.567,1234.568", "--ansatz", "constraint_aware",
+            "--seeds", "1", "--p", "1", "--out", str(out_dir),
+        ]) == 0
+        assert "wrote 2 run records" in capsys.readouterr().out
+        assert sorted(os.listdir(out_dir / "runs")) == [
+            "constraint_aware_lam1234.567_seed0.json",
+            "constraint_aware_lam1234.568_seed0.json",
+        ]
+
     def test_run_rejects_missing_instance(self, capsys):
         assert main(["run", "--regime", "I"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -267,6 +318,10 @@ class TestCommandLine:
             (["--lambda", "nan"], "lambda nan is not finite"),
             (["--seeds", "1,1"], "seed 1 is repeated"),
             (["--seeds=-1,2"], "seed -1 is negative; seeds must be >= 0"),
+            # distinct seed keys, one run-file name
+            (["--lambda", "1000000000.001,1000000000.002"], "lambda 1000000000.002 is repeated"),
+            (["--noise-preset", "paper"], "regime I is noiseless; noise applies to regime III only"),
+            (["--regime", "II", "--noise-preset", "paper"], "regime II is noiseless"),
         ],
     )
     def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
@@ -290,6 +345,7 @@ class TestCommandLine:
             ({"seeds": [1, 1]}, "seed 1 is repeated"),
             ({"seeds": [-1, 2]}, "seed -1 is negative; seeds must be >= 0"),
             ({"master_seed": -5}, "master_seed -5 is negative; it must be >= 0"),
+            ({"regime": "II", "noise": {"p01": 0.01}}, "regime II is noiseless"),
         ],
     )
     def test_run_rejects_bad_config_file(self, tmp_path, capsys, config, message):
@@ -404,6 +460,14 @@ class TestCommandLine:
         ])
         cfg = build_experiment_config({"optimizer": FAST_OPT}, args)
         assert cfg.noise == NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
+
+    @pytest.mark.parametrize("regime", ["I", "II", "III"])
+    def test_noise_none_is_accepted_in_every_regime(self, regime):
+        args = build_parser().parse_args([
+            "run", "--instance", toy_instance_path(), "--regime", regime,
+            "--noise-preset", "none",
+        ])
+        assert build_experiment_config({}, args).noise == NoiseModel()
 
 
 class TestRegimeKinds:

@@ -15,7 +15,7 @@ from vrpqaoa.instance import (
     is_feasible,
     route_cost,
 )
-from vrpqaoa.encode import penalize, qubo_value
+from vrpqaoa.encode import penalize, qubo_value, to_cost_operator
 
 
 #: Instance payloads that are not a valid instance, with the error they raise.
@@ -188,16 +188,15 @@ class TestBruteForce:
         assert toy.oracle.qubo_min == pytest.approx(FEASIBLE_COST, abs=1e-6)
 
     def test_two_node_forced_solution(self):
-        inst = VrpInstance(distances=((0.0, 3.0), (4.0, 0.0)), vehicles=1)
-        qubo = penalize(inst, build_constraints(inst))
-        oracle = brute_force_optimum(inst, qubo)
+        oracle = self._oracle(((0.0, 3.0), (4.0, 0.0)))
         assert oracle.feasible_optima == ("11",)
         assert oracle.feasible_cost == pytest.approx(7.0)
 
     @staticmethod
     def _oracle(distances):
         inst = VrpInstance(distances=distances, vehicles=1)
-        return brute_force_optimum(inst, penalize(inst, build_constraints(inst)))
+        cs = build_constraints(inst)
+        return brute_force_optimum(inst, cs, to_cost_operator(penalize(inst, cs)).diagonal)
 
     def test_ties_are_relative_to_the_cost_scale(self):
         # tours of 3e-10 and 7e-10 differ by less than 1e-9 but are not tied

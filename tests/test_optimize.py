@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,12 +165,10 @@ class TestObjective:
         # evolving at scale c*s with angles gamma equals evolving at scale s
         # with gamma/c, and the reported energy differs exactly by 1/c, so
         # rescaling never moves the (compensated) argmin
-        from vrpqaoa.encode import CompiledCost
-
         spec = AnsatzSpec.standard(6, 1)
         rng = np.random.default_rng(10)
         factor = 2.5
-        cost_scaled = CompiledCost.from_qubo(toy.qubo, scale=toy.cost.scale * factor)
+        cost_scaled = replace(toy.cost, scale=toy.cost.scale * factor)
         cfg = OptimizerConfig()
         for _ in range(10):
             pt = ParameterPoint.random(1, rng)
@@ -238,7 +237,6 @@ class TestMinimize:
         result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
         assert {r for r, _, _ in result.trace} == {0, 1, 2}
         assert all(i < 12 for _, i, _ in result.trace)
-        assert result.evaluations == len(result.trace)
 
 
 class TestFinalSampling:
