@@ -87,11 +87,13 @@ def final_distribution(
     params: ParameterPoint,
     kind: ObjectiveKind,
 ) -> np.ndarray:
-    """Measurement distribution at the given angles under the regime's engine.
+    """Measurement distribution at the given angles.
 
-    In the noisy regime it includes the noise model's readout confusion.
+    Gate noise needs the density-matrix gate engine; every other case runs
+    the exact engine.  In the noisy regime it includes the noise model's
+    readout confusion.
     """
-    if kind.regime == "III":
+    if kind.regime == "III" and kind.noise.has_gate_noise:
         state = evolve(
             spec,
             cost.ising,
@@ -101,9 +103,12 @@ def final_distribution(
             noise=kind.noise,
             noisy_init=kind.noisy_init,
         )
-        return apply_readout_confusion(measure_distribution(state), kind.noise.p01, kind.noise.p10)
-    state = evolve(spec, cost.phase_diagonal, params, engine="exact", scale=cost.scale)
-    return measure_distribution(state)
+    else:
+        state = evolve(spec, cost.phase_diagonal, params, engine="exact", scale=cost.scale)
+    probs = measure_distribution(state)
+    if kind.regime == "III":
+        return apply_readout_confusion(probs, kind.noise.p01, kind.noise.p10)
+    return probs
 
 
 def objective(

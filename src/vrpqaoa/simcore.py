@@ -3,13 +3,14 @@
 States live on ``n`` qubits with qubit 0 as the most significant bit of the
 flat array index, matching the printed bitstring convention used by the
 rest of the package.  Gate application works by reshaping the state into a
-rank-n (or rank-2n) tensor and contracting the small gate matrix against
-the target axes, which is cheap for the desk-scale systems handled here.
+rank-n tensor and contracting the small gate matrix against the target
+axes, which is cheap for the desk-scale systems handled here.  A density
+matrix is held as its 4^n real Pauli coefficients, so a gate is its real
+Pauli transfer matrix (PTM) and depolarization a coefficient mask.
 """
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -97,15 +98,6 @@ def _z_phase_vector(n: int, qubits: Sequence[int], angle: float) -> np.ndarray:
     return np.where(parity == 0, np.exp(-1j * half), np.exp(1j * half))
 
 
-def _apply_phase_diagonal(state: "State", phases: np.ndarray) -> None:
-    if isinstance(state, StateVector):
-        state.amplitudes = state.amplitudes * phases
-    else:
-        rho = state.rho * phases[:, None]
-        rho *= phases.conj()[None, :]
-        state.rho = rho
-
-
 class StateVector:
     """Pure state as a flat complex amplitude array of length 2^n."""
 
@@ -145,32 +137,59 @@ class StateVector:
         return StateVector(self.n, self.amplitudes.copy())
 
 
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _per_qubit(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The same one-qubit map on every axis."""
+    for q in range(tensor.ndim):
+        tensor = _contract(tensor, mat, (q,))
+    return tensor
+
+
 class DensityMatrix:
-    """Mixed state as a 2^n x 2^n complex matrix."""
+    """Mixed state as its 4^n real Pauli coefficients ``c_P = Tr(P rho)``, qubit 0
+    the most significant base-4 digit, so ``rho = sum_P c_P P / 2^n``."""
 
     def __init__(self, n: int, rho: np.ndarray | None = None):
         self.n = n
         dim = 1 << n
         if rho is None:
-            rho = np.zeros((dim, dim), dtype=complex)
+            rho = np.zeros((dim, dim))
             rho[0, 0] = 1.0
-        else:
-            rho = np.asarray(rho, dtype=complex)
-            if rho.shape != (dim, dim):
-                raise ValueError("density matrix has wrong shape")
-        self.rho = rho
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (dim, dim):
+            raise ValueError("density matrix has wrong shape")
+        if np.abs(rho - rho.conj().T).max() > 1e-12:
+            raise ValueError("density matrix must be Hermitian")
+        # (i_0..i_n-1, j_0..j_n-1) -> (i_0 j_0, i_1 j_1, ...), then c_P = sum_ij P_ji rho_ij
+        pairs = rho.reshape([2] * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+        to_pauli = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+        self.pauli = _per_qubit(pairs.reshape([4] * n), to_pauli).real.reshape(-1)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The 2^n x 2^n matrix, built on demand."""
+        n = self.n
+        pairs = _per_qubit(self.pauli.reshape([4] * n), _PAULIS.reshape(4, 4).T / 2.0)
+        order = np.arange(2 * n).reshape(n, 2).T.ravel()
+        return pairs.reshape([2] * (2 * n)).transpose(order).reshape(1 << n, 1 << n)
 
     def probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.rho)).copy()
+        """Walsh-Hadamard transform of the I/Z coefficients (digits 0 and 3)."""
+        z_type = self.pauli.reshape([4] * self.n)[(slice(None, None, 3),) * self.n]
+        return _per_qubit(z_type, np.array([[1.0, 1.0], [1.0, -1.0]]) / 2.0).reshape(-1)
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
+        return float(self.pauli[0])
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
+        return float(self.pauli @ self.pauli) / (1 << self.n)
 
     def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, self.rho.copy())
+        clone = object.__new__(DensityMatrix)
+        clone.n, clone.pauli = self.n, self.pauli.copy()
+        return clone
 
 
 State = Union[StateVector, DensityMatrix]
@@ -185,8 +204,9 @@ def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tup
 
 
 def _contract(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k gate matrix to k axes of a [2] * ndim tensor: the
-    calls of ``np.tensordot`` plus ``np.moveaxis``, with cached axis orders."""
+    """Apply a d^k x d^k matrix to k axes of a [d] * ndim tensor (d = 2 for
+    amplitudes, 4 for Pauli coefficients): the calls of ``np.tensordot``
+    plus ``np.moveaxis``, with cached axis orders."""
     front, back = _axis_orders(tensor.ndim, axes)
     moved = tensor.transpose(front).reshape(mat.shape[1], -1)
     return np.dot(mat, moved).reshape(tensor.shape).transpose(back)
@@ -242,20 +262,12 @@ def average_infidelity(lam: float, qubits: int) -> float:
     return (1.0 - 2.0 ** (-qubits)) * lam
 
 
-@lru_cache(maxsize=None)
-def _trace_recipe(n: int, qubits: tuple[int, ...]) -> tuple[str, np.ndarray]:
-    """Einsum spec for the partial trace, plus the flat indices that re-embed
-    it: row p holds the entries whose targets read pattern p on both sides."""
-    letters = string.ascii_letters
-    ket = [letters[i] for i in range(n)]
-    bra = [letters[n + i] for i in range(n)]
-    for q in qubits:
-        bra[q] = ket[q]
-    labels = "".join(ket + bra)
-    kept = "".join(c for i, c in enumerate(labels) if i % n not in qubits)
-    flat = np.arange(1 << (2 * n)).reshape([2] * (2 * n))
-    diagonal = np.einsum(labels + "->" + "".join(ket[q] for q in qubits) + kept, flat)
-    return labels + "->" + kept, diagonal.reshape(1 << len(qubits), -1)
+@lru_cache(maxsize=64)
+def _depolarizing_mask(n: int, qubits: tuple[int, ...], lam: float) -> np.ndarray:
+    """1 - lam on every Pauli coefficient with support on ``qubits``, 1 elsewhere."""
+    index = np.arange(4**n)
+    support = sum((index >> (2 * (n - 1 - q))) & 3 for q in qubits) > 0
+    return np.where(support, 1.0 - lam, 1.0)
 
 
 def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> DensityMatrix:
@@ -270,17 +282,26 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
         raise ValueError(f"channel parameter {lam} outside [0, {limit}]")
     if lam == 0.0:
         return state
-    n = state.n
-    _check_targets(n, qubits)
-    if not state.rho.flags["C_CONTIGUOUS"]:
-        state.rho = np.ascontiguousarray(state.rho)
-    rho = state.rho
-    spec, index = _trace_recipe(n, tuple(qubits))
-    traced = np.einsum(spec, rho.reshape([2] * (2 * n)))
-    traced *= lam / (1 << k)
-    rho *= 1.0 - lam
-    rho.reshape(-1)[index] += traced.reshape(-1)
+    _check_targets(state.n, qubits)
+    state.pauli *= _depolarizing_mask(state.n, tuple(qubits), lam)
     return state
+
+
+def _ptm(unitary: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrix R_PQ = Tr(P U Q U^dag) / 2^k of a k-qubit unitary."""
+    pairs = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+    strings = _PAULIS if len(unitary) == 2 else np.array(pairs)
+    conjugated = (unitary @ strings @ unitary.conj().T).reshape(len(strings), -1)
+    return (strings.reshape(len(strings), -1).conj() @ conjugated.T).real / len(unitary)
+
+
+@lru_cache(maxsize=None)
+def _ptm_terms(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) with the gate's PTM A + cos(angle) B + sin(angle) C: exact for a
+    rotation exp(-i angle P / 2); B and C are zero for h, x and cnot."""
+    at_zero, at_half, at_pi = (_ptm(gate_matrix(name, t)) for t in (0.0, math.pi / 2, math.pi))
+    const = (at_zero + at_pi) / 2.0
+    return const, (at_zero - at_pi) / 2.0, at_half - const
 
 
 def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> State:
@@ -290,22 +311,20 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
     arity, noisy = GATES[op.name]
     if len(op.qubits) != arity:
         raise ValueError(f"{op.name!r} acts on {arity} qubit(s), got {len(op.qubits)}")
-    _check_targets(state.n, op.qubits)
-    if op.name in ("rz", "rzz"):
-        if op.angle is None:
-            raise ValueError(f"gate {op.name!r} needs an angle")
-        _apply_phase_diagonal(state, _z_phase_vector(state.n, op.qubits, op.angle))
+    n, qubits = state.n, tuple(op.qubits)
+    _check_targets(n, qubits)
+    if op.angle is None and op.name not in ("h", "x", "cnot"):
+        raise ValueError(f"gate {op.name!r} needs an angle")
+    if isinstance(state, DensityMatrix):
+        const, cos_term, sin_term = _ptm_terms(op.name)
+        angle = op.angle or 0.0
+        ptm = const + math.cos(angle) * cos_term + math.sin(angle) * sin_term
+        state.pauli = _contract(state.pauli.reshape([4] * n), ptm, qubits).reshape(-1)
+    elif op.name in ("rz", "rzz"):
+        state.amplitudes = state.amplitudes * _z_phase_vector(n, qubits, op.angle)
     else:
-        n = state.n
-        mat = gate_matrix(op.name, op.angle)
-        qubits = tuple(op.qubits)
-        if isinstance(state, StateVector):
-            amps = _contract(state.amplitudes.reshape([2] * n), mat, qubits)
-            state.amplitudes = amps.reshape(-1)
-        else:  # ket side, then bra side
-            ket = _contract(state.rho.reshape([2] * (2 * n)), mat, qubits)
-            bra = _contract(ket, mat.conj(), tuple(n + q for q in qubits))
-            state.rho = bra.reshape(state.rho.shape)
+        amps = _contract(state.amplitudes.reshape([2] * n), gate_matrix(op.name, op.angle), qubits)
+        state.amplitudes = amps.reshape(-1)
     if noise is not None and noise.has_gate_noise:
         if not isinstance(state, DensityMatrix):
             raise TypeError("gate noise requires the density-matrix engine")
@@ -321,7 +340,9 @@ def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: 
         raise ValueError("scale must be positive")
     if diag.n != state.n:
         raise ValueError("cost diagonal does not match the state size")
-    _apply_phase_diagonal(state, np.exp(-1j * gamma * diag.diagonal / scale))
+    if not isinstance(state, StateVector):
+        raise TypeError("a diagonal phase needs the statevector engine")
+    state.amplitudes = state.amplitudes * np.exp(-1j * gamma * diag.diagonal / scale)
     return state
 
 
@@ -344,10 +365,7 @@ def apply_readout_confusion(probs: np.ndarray, p01: float, p10: float) -> np.nda
     if p01 == 0.0 and p10 == 0.0:
         return probs.copy()
     confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-    tensor = probs.reshape([2] * n)
-    for q in range(n):
-        tensor = _contract(tensor, confusion, (q,))
-    out = tensor.reshape(-1)
+    out = _per_qubit(probs.reshape([2] * n), confusion).reshape(-1)
     return out / out.sum()
 
 

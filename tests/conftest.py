@@ -1,8 +1,13 @@
+import functools
+import itertools
+
+import numpy as np
 import pytest
 
+from vrpqaoa.ansatz import circuit_gates
 from vrpqaoa.cli import build_problem, load_instance, toy_instance_path
 from vrpqaoa.instance import EQUAL, VrpInstance
-from vrpqaoa.simcore import GateOp, StateVector, apply_diagonal_phase, apply_gate
+from vrpqaoa.simcore import GateOp, StateVector, apply_diagonal_phase, apply_gate, gate_matrix
 
 # Variable order for the three-node instance:
 #   0: x(0,1)  1: x(0,2)  2: x(1,0)  3: x(1,2)  4: x(2,0)  5: x(2,1)
@@ -58,3 +63,61 @@ def textbook_qaoa(cost, params) -> StateVector:
         for q in range(n):
             apply_gate(state, GateOp("rx", (q,), 2.0 * beta))
     return state
+
+
+PAULI_MATRICES = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1, -1]).astype(complex),
+)
+
+#: Gates followed by a depolarizing channel: p1 after H, RX and RZ, p2 after
+#: RZZ, RXX and RYY; X and CNOT (state preparation) stay noiseless.
+DEPOLARIZED_1Q = ("h", "rx", "rz")
+DEPOLARIZED_2Q = ("rzz", "rxx", "ryy")
+
+
+def embed(n: int, factors: dict) -> np.ndarray:
+    """Kronecker product over n qubits, qubit 0 first: ``factors[q]`` on qubit q,
+    the identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, PAULI_MATRICES[0]))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_strings_on(n: int, qubits: tuple) -> tuple[list, list]:
+    """The 4^k Pauli strings on the k target qubits, as 2^k x 2^k matrices and
+    embedded in the 2^n x 2^n space."""
+    combos = list(itertools.product(PAULI_MATRICES, repeat=len(qubits)))
+    return (
+        [functools.reduce(np.kron, combo) for combo in combos],
+        [embed(n, dict(zip(qubits, combo))) for combo in combos],
+    )
+
+
+def full_unitary(n: int, u: np.ndarray, qubits) -> np.ndarray:
+    """A gate on the full space through its Pauli expansion u = sum_P Tr(P u) / 2^k P."""
+    small, full = pauli_strings_on(n, tuple(qubits))
+    return sum(np.trace(p.conj().T @ u) / len(u) * f for p, f in zip(small, full))
+
+
+def textbook_noisy_distribution(spec, ising, params, scale, noise) -> np.ndarray:
+    """Regime III written out on an explicit 2^n x 2^n density matrix: every gate
+    of the circuit (initial state included) as a full-space unitary, each
+    depolarizing channel in Kraus form (1 - lam) rho + lam / 4^k sum_P P rho P
+    over the Pauli strings P on the gate's k targets, then readout confusion."""
+    n = spec.n
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in circuit_gates(spec, ising, params, scale):
+        u = full_unitary(n, gate_matrix(op.name, op.angle), op.qubits)
+        rho = u @ rho @ u.conj().T
+        lam = noise.p1 if op.name in DEPOLARIZED_1Q else noise.p2 if op.name in DEPOLARIZED_2Q else 0
+        if lam:
+            strings = pauli_strings_on(n, tuple(op.qubits))[1]
+            rho = (1 - lam) * rho + lam / len(strings) * sum(p @ rho @ p for p in strings)
+    confusion = np.array([[1 - noise.p01, noise.p10], [noise.p01, 1 - noise.p10]])
+    return (embed(n, dict.fromkeys(range(n), confusion)) @ np.diag(rho)).real

@@ -16,7 +16,7 @@ from vrpqaoa.optimize import (
     objective,
     write_trace_csv,
 )
-from vrpqaoa.simcore import NoiseModel, measure_distribution, sample
+from vrpqaoa.simcore import NoiseModel, apply_readout_confusion, measure_distribution, sample
 
 PAPER_NOISE = NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
 
@@ -160,6 +160,31 @@ class TestObjective:
                        noise=noise)
         probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
         assert np.array_equal(probs, measure_distribution(state))
+
+    @pytest.mark.parametrize(
+        "noise,engine",
+        [(NoiseModel(), "exact"), (NoiseModel(p01=0.02, p10=0.01), "exact"), (PAPER_NOISE, "gate")],
+    )
+    def test_regime_three_takes_the_gate_engine_only_for_gate_noise(
+        self, toy, monkeypatch, noise, engine
+    ):
+        from vrpqaoa import optimize
+
+        engines = []
+
+        def spy(*args, **kwargs):
+            engines.append(kwargs["engine"])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "evolve", spy)
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
+        params = ParameterPoint((0.4, 0.9), (0.3, 0.6))
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
+        assert engines == [engine]
+        state = evolve(spec, toy.cost.ising, params, engine="gate", scale=toy.cost.scale,
+                       noise=noise)
+        gate = apply_readout_confusion(measure_distribution(state), noise.p01, noise.p10)
+        assert np.abs(probs - gate).max() <= 1e-12
 
     def test_scale_change_is_a_reparameterization(self, toy):
         # evolving at scale c*s with angles gamma equals evolving at scale s

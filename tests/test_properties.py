@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import textbook_noisy_distribution
 from test_ansatz import pattern_violation_probability
 from vrpqaoa.ansatz import (
     BETA_BOUNDS,
@@ -25,7 +26,7 @@ from vrpqaoa.ansatz import (
     evolve,
     prepare_initial_state,
 )
-from vrpqaoa.cli import build_problem
+from vrpqaoa.cli import NOISE_PRESETS, build_problem
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance
 from vrpqaoa.optimize import ObjectiveKind, final_distribution, nelder_mead
 from vrpqaoa.simcore import NoiseModel, measure_distribution
@@ -156,6 +157,27 @@ def test_distributions_are_probability_vectors(case, noise):
     assert probs.shape == (1 << spec.n,)
     assert (probs >= 0).all()
     assert math.isclose(probs.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
+
+
+paper = NOISE_PRESETS["paper"]
+depolarizing = st.floats(min_value=0.0, max_value=0.05)
+readout = st.floats(min_value=0.0, max_value=0.1)
+
+
+@PROPERTY_SETTINGS
+@given(
+    cases(),
+    st.one_of(st.just((paper.p1, paper.p2)), st.tuples(depolarizing, depolarizing)),
+    readout,
+    readout,
+)
+def test_noisy_distribution_matches_textbook_density_matrix(case, gate_noise, p01, p10):
+    problem, spec, point = case
+    noise = NoiseModel(*gate_noise, p01=p01, p10=p10)
+    probs = final_distribution(spec, problem.cost, point, ObjectiveKind.noisy(noise))
+    cost = problem.cost
+    reference = textbook_noisy_distribution(spec, cost.ising, point, cost.scale, noise)
+    assert np.abs(probs - reference).max() <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pauli_strings_on
 from vrpqaoa.encode import CostOperator
 from vrpqaoa.simcore import (
     DensityMatrix,
@@ -197,13 +198,56 @@ class TestDiagonalPhase:
         with pytest.raises(ValueError):
             apply_diagonal_phase(StateVector(3), self._diag(), 1.0, scale=0.0)
 
+    def test_density_matrix_rejected(self):
+        with pytest.raises(TypeError, match="statevector engine"):
+            apply_diagonal_phase(DensityMatrix(3), self._diag(), 1.0, scale=2.0)
 
-def random_density(n: int, rng) -> DensityMatrix:
+
+def random_rho(n: int, rng) -> np.ndarray:
     dim = 1 << n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    rho /= np.trace(rho)
-    return DensityMatrix(n, rho)
+    return rho / np.trace(rho)
+
+
+def random_density(n: int, rng) -> DensityMatrix:
+    return DensityMatrix(n, random_rho(n, rng))
+
+
+class TestDensityMatrix:
+    def test_rho_round_trips(self):
+        for n in (1, 2, 3, 4):
+            rho = random_rho(n, RNG)
+            assert np.abs(DensityMatrix(n, rho).rho - rho).max() <= 1e-14
+
+    def test_default_is_all_zeros_projector(self):
+        for n in (1, 3):
+            expected = np.zeros((1 << n, 1 << n))
+            expected[0, 0] = 1.0
+            assert np.abs(DensityMatrix(n).rho - expected).max() <= 1e-15
+
+    def test_trace_purity_and_probabilities_match_textbook(self):
+        rho = random_rho(3, RNG)
+        state = DensityMatrix(3, rho)
+        assert state.trace() == pytest.approx(np.trace(rho).real, abs=1e-14)
+        assert state.purity() == pytest.approx(np.trace(rho @ rho).real, abs=1e-14)
+        assert np.abs(state.probabilities() - np.diag(rho).real).max() <= 1e-14
+
+    def test_copy_is_independent(self):
+        state = random_density(2, RNG)
+        clone = state.copy()
+        apply_gate(clone, GateOp("h", (0,)))
+        assert np.abs(clone.rho - state.rho).max() > 1e-3
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="wrong shape"):
+            DensityMatrix(2, np.eye(2))
+
+    def test_rejects_non_hermitian(self):
+        rho = random_rho(2, RNG)
+        rho[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+            DensityMatrix(2, rho)
 
 
 class TestDepolarize:
@@ -257,6 +301,16 @@ class TestDepolarize:
     def test_statevector_rejected(self):
         with pytest.raises(TypeError):
             depolarize(StateVector(2), (0,), 0.1)
+
+    @pytest.mark.parametrize("targets", [(1,), (2, 0)])
+    def test_largest_parameter_is_fully_depolarizing_kraus_form(self, targets):
+        # at lam = 4^k / (4^k - 1) the channel is sum_{P != I} P rho P / (4^k - 1)
+        rho = random_rho(3, RNG)
+        strings = pauli_strings_on(3, targets)[1]
+        expected = sum(p @ rho @ p for p in strings[1:]) / (len(strings) - 1)
+        state = DensityMatrix(3, rho)
+        depolarize(state, targets, len(strings) / (len(strings) - 1))
+        assert np.abs(state.rho - expected).max() <= 1e-14
 
     def test_density_stays_physical(self):
         rho = random_density(3, RNG)
