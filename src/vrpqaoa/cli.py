@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from types import UnionType
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
@@ -70,13 +70,19 @@ def toy_instance_path() -> str:
     return str(resources.files("vrpqaoa.data").joinpath("toy3.json"))
 
 
+def _read_json(path: str):
+    """The parsed JSON file; a syntax error names the path, line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+
+
 def load_instance(path: str) -> VrpInstance:
-    try:
-        return VrpInstance.from_json(path)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    return VrpInstance.from_dict(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -161,10 +167,9 @@ def run_single(
         spec = AnsatzSpec.constraint_aware(problem.constraints, depth, lam)
     seed_seq = derive_run_seed(master_seed, model, lam, seed_index)
     opt_seed, final_seed = (int(v) for v in seed_seq.generate_state(2, np.uint64))
-    cfg = replace(opt_cfg, seed=opt_seed)
-    result = minimize(spec, problem.cost, kind, cfg)
+    result = minimize(spec, problem.cost, kind, opt_cfg, opt_seed)
     dist = final_distribution(spec, problem.cost, result.params, kind)
-    hist = sample(dist, cfg.shots_final, np.random.default_rng(final_seed))
+    hist = sample(dist, opt_cfg.shots_final, np.random.default_rng(final_seed))
     measured = run_metrics(
         hist, problem.oracle.feasible_optima, problem.qubo, problem.oracle.feasible_cost
     )
@@ -433,34 +438,33 @@ def encode_report(path: str, penalty: float | None = None, scale: float | None =
     }
 
 
-def _print_encode_report(report: dict, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _print_encode_report(report: dict) -> None:
     names = report["variables"]
-    print(f"penalty P = {report['penalty']:g}", file=out)
-    print("\npenalty terms (each scaled by P):", file=out)
+    print(f"penalty P = {report['penalty']:g}")
+    print("\npenalty terms (each scaled by P):")
     for term in report["penalty_terms"]:
         pieces = [f"{term['constant']}"]
         pieces += [f"{coeff:+d}*{name}" for name, coeff in term["linear"].items()]
         pieces += [f"{coeff:+d}*{prod}" for prod, coeff in term["quadratic"].items()]
-        print(f"  [{term['label']}] P*({' '.join(pieces)})", file=out)
+        print(f"  [{term['label']}] P*({' '.join(pieces)})")
     qubo = report["qubo"]
-    print("\ncollected QUBO:", file=out)
-    print(f"  constant: {qubo['constant']:g}", file=out)
+    print("\ncollected QUBO:")
+    print(f"  constant: {qubo['constant']:g}")
     for q, coeff in enumerate(qubo["linear"]):
-        print(f"  {names[q]}: {coeff:g}", file=out)
+        print(f"  {names[q]}: {coeff:g}")
     for key, coeff in qubo["quadratic"].items():
         i, j = (int(v) for v in key.split(","))
-        print(f"  {names[i]}*{names[j]}: {coeff:g}", file=out)
+        print(f"  {names[i]}*{names[j]}: {coeff:g}")
     for tag in ("ising_a", "ising_b"):
         ising = report[tag]
-        print(f"\nIsing (convention {ising['convention']}):", file=out)
-        print(f"  constant: {ising['constant']:g}", file=out)
+        print(f"\nIsing (convention {ising['convention']}):")
+        print(f"  constant: {ising['constant']:g}")
         for q, coeff in enumerate(ising["fields"]):
-            print(f"  h[{names[q]}]: {coeff:g}", file=out)
+            print(f"  h[{names[q]}]: {coeff:g}")
         for key, coeff in ising["couplings"].items():
             i, j = (int(v) for v in key.split(","))
-            print(f"  J[{names[i]},{names[j]}]: {coeff:g}", file=out)
-    print(f"\nenergy scale s = {report['scale']:g}", file=out)
+            print(f"  J[{names[i]},{names[j]}]: {coeff:g}")
+    print(f"\nenergy scale s = {report['scale']:g}")
 
 
 def lambda_list(text: str) -> tuple[float, ...]:
@@ -537,8 +541,7 @@ def build_experiment_config(file_cfg: dict, args: argparse.Namespace) -> Experim
 
     The accepted keys are the fields of :class:`ExperimentConfig`, with
     ``instance`` for ``instance_path``, and under ``optimizer`` those of
-    :class:`OptimizerConfig` except ``seed``: each run derives its optimizer
-    seed from ``master_seed``.  Any other key, or a value of the wrong type,
+    :class:`OptimizerConfig`.  Any other key, or a value of the wrong type,
     is a ValueError that names the key.
     """
     merged = dict(_object(file_cfg, "the config"))
@@ -553,10 +556,12 @@ def build_experiment_config(file_cfg: dict, args: argparse.Namespace) -> Experim
     if instance is None:
         raise ValueError("no instance file given (config 'instance' or --instance)")
     if type(merged.get("seeds")) is int:  # a seed count
+        if merged["seeds"] < 1:
+            raise ValueError(f"seed count {merged['seeds']} must be >= 1")
         merged["seeds"] = tuple(range(merged["seeds"]))
     merged["noise"] = _noise_from_value(merged.get("noise"))
     merged["optimizer"] = OptimizerConfig(
-        **_fields(OptimizerConfig, merged["optimizer"], "optimizer", exclude=("seed",))
+        **_fields(OptimizerConfig, merged["optimizer"], "optimizer")
     )
     return ExperimentConfig(
         instance_path=_typed("instance", instance, str),
@@ -616,10 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     json.dump(report, fh, indent=1, sort_keys=True)
                     fh.write("\n")
         else:
-            file_cfg = {}
-            if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    file_cfg = json.load(fh)
+            file_cfg = _read_json(args.config) if args.config else {}
             cfg = build_experiment_config(file_cfg, args)
             records = run_experiment(cfg)
             print(f"wrote {len(records)} run records to {cfg.output_dir}")

@@ -11,7 +11,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,14 +119,13 @@ class VrpInstance:
             raise ValueError(f"distances must be a list of rows of numbers, got {rows!r}")
         distances = tuple(tuple(float(w) for w in row) for row in rows)
         vehicles = payload["vehicles"]
-        if not isinstance(vehicles, (int, float)) or not float(vehicles).is_integer():
+        if (
+            isinstance(vehicles, bool)
+            or not isinstance(vehicles, (int, float))
+            or not float(vehicles).is_integer()
+        ):
             raise ValueError(f"vehicles must be a whole number, got {vehicles!r}")
         return cls(distances=distances, vehicles=int(vehicles))
-
-    @classmethod
-    def from_json(cls, path: str) -> "VrpInstance":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return {"distances": [list(row) for row in self.distances], "vehicles": self.vehicles}

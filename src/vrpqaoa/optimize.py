@@ -42,7 +42,6 @@ class OptimizerConfig:
     shots_objective: int = 1024
     batches: int = 3
     shots_final: int = 4096
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_evals", "shots_objective", "batches", "shots_final"):
@@ -232,8 +231,9 @@ def minimize(
     cost: CompiledCost,
     kind: ObjectiveKind,
     cfg: OptimizerConfig,
+    seed: int,
 ) -> OptimizeResult:
-    """Multi-restart Nelder-Mead over the angle box.
+    """Multi-restart Nelder-Mead over the angle box, seeded by ``seed``.
 
     Each restart draws its own start point and (for stochastic kinds) its
     own sampling stream.  Restart winners of stochastic objectives are
@@ -241,7 +241,7 @@ def minimize(
     evaluation stream so the selection is reproducible and unbiased by
     per-restart sampling luck.
     """
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(seed)
     children = root.spawn(cfg.restarts + 1)
     eval_key = children[-1]
     lower, upper = _parameter_bounds(spec.depth)

@@ -2,76 +2,68 @@
 
 States live on ``n`` qubits with qubit 0 as the most significant bit of the
 flat array index, matching the printed bitstring convention used by the
-rest of the package.  Gate application works by reshaping the state into a
-rank-n tensor and contracting the small gate matrix against the target
-axes, which is cheap for the desk-scale systems handled here.  A density
-matrix is held as its 4^n real Pauli coefficients, so a gate is its real
-Pauli transfer matrix (PTM) and depolarization a coefficient mask.
+rest of the package.  Every gate is defined once, in ``GATES``.  A gate on
+a statevector reshapes it into a rank-n tensor and contracts the small gate
+matrix against the target axes, which is cheap for the desk-scale systems
+handled here.  A density matrix is held as its 4^n real Pauli coefficients,
+so a gate is its real Pauli transfer matrix (PTM) and depolarization a
+coefficient mask.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from typing import Sequence, Union
 
 import numpy as np
 
 from .encode import CostOperator
-from .instance import _bit_column, index_bitstring
+from .instance import index_bitstring
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-#: Gate name -> (qubit count, carries depolarizing noise when a NoiseModel
-#: is active).  Plain X and CNOT (state preparation only) stay noiseless.
-GATES = {
-    "h": (1, True),
-    "x": (1, False),
-    "rx": (1, True),
-    "rz": (1, True),
-    "cnot": (2, False),
-    "rzz": (2, True),
-    "rxx": (2, True),
-    "ryy": (2, True),
-}
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+
+@lru_cache(maxsize=None)
+def _pauli(string: str) -> np.ndarray:
+    """Matrix of a Pauli string such as ``"XZ"``, qubit 0 the leftmost factor
+    (shared, read-only)."""
+    matrix = reduce(np.kron, [_PAULIS["IXYZ".index(ch)] for ch in string])
+    matrix.flags.writeable = False
+    return matrix
+
+
+#: Gate name -> (qubit count, carries depolarizing noise when a NoiseModel
+#: is active, definition).  The definition is a fixed unitary, or the Pauli
+#: string P of the rotation exp(-i angle P / 2).  Plain X and CNOT (state
+#: preparation only) stay noiseless.
+GATES = {
+    "h": (1, True, np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV),
+    "x": (1, False, _pauli("X")),
+    "rx": (1, True, "X"),
+    "rz": (1, True, "Z"),
+    "cnot": (2, False, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], complex)),
+    "rzz": (2, True, "ZZ"),
+    "rxx": (2, True, "XX"),
+    "ryy": (2, True, "YY"),
+}
 
 
 def gate_matrix(name: str, angle: float | None = None) -> np.ndarray:
-    """Unitary matrix of a named gate (2x2 or 4x4)."""
-    if name == "h":
-        return _H
-    if name == "x":
-        return _X
-    if name == "cnot":
-        return _CNOT
+    """Unitary matrix of a named gate (2x2 or 4x4): its fixed unitary, or
+    cos(angle/2) I - i sin(angle/2) P for a rotation about the Pauli string P."""
+    if name not in GATES:
+        raise ValueError(f"unknown gate {name!r}")
+    definition = GATES[name][2]
+    if not isinstance(definition, str):
+        return definition
     if angle is None:
         raise ValueError(f"gate {name!r} needs an angle")
-    half = angle / 2.0
-    c, s = math.cos(half), math.sin(half)
-    if name == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if name == "rz":
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
-    if name == "rzz":
-        lo, hi = np.exp(-1j * half), np.exp(1j * half)
-        return np.diag([lo, hi, hi, lo]).astype(complex)
-    if name == "rxx":
-        return np.array(
-            [[c, 0, 0, -1j * s], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [-1j * s, 0, 0, c]],
-            dtype=complex,
-        )
-    if name == "ryy":
-        return np.array(
-            [[c, 0, 0, 1j * s], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [1j * s, 0, 0, c]],
-            dtype=complex,
-        )
-    raise ValueError(f"unknown gate {name!r}")
+    pauli = _pauli(definition)
+    return math.cos(angle / 2.0) * np.eye(len(pauli)) - 1j * math.sin(angle / 2.0) * pauli
 
 
 @dataclass(frozen=True)
@@ -87,15 +79,6 @@ class GateOp:
         if self.angle is not None:
             record["angle"] = self.angle
         return record
-
-
-def _z_phase_vector(n: int, qubits: Sequence[int], angle: float) -> np.ndarray:
-    """Diagonal of RZ / RZZ expanded over the full basis."""
-    parity = _bit_column(n, qubits[0])
-    if len(qubits) == 2:
-        parity = parity ^ _bit_column(n, qubits[1])
-    half = angle / 2.0
-    return np.where(parity == 0, np.exp(-1j * half), np.exp(1j * half))
 
 
 class StateVector:
@@ -135,9 +118,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amplitudes.copy())
-
-
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _per_qubit(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -280,8 +260,6 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
     limit = 4.0**k / (4.0**k - 1.0)
     if not 0.0 <= lam <= limit:
         raise ValueError(f"channel parameter {lam} outside [0, {limit}]")
-    if lam == 0.0:
-        return state
     _check_targets(state.n, qubits)
     state.pauli *= _depolarizing_mask(state.n, tuple(qubits), lam)
     return state
@@ -289,8 +267,8 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
 
 def _ptm(unitary: np.ndarray) -> np.ndarray:
     """Real Pauli transfer matrix R_PQ = Tr(P U Q U^dag) / 2^k of a k-qubit unitary."""
-    pairs = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
-    strings = _PAULIS if len(unitary) == 2 else np.array(pairs)
+    k = len(unitary).bit_length() - 1
+    strings = np.array([_pauli("".join(p)) for p in product("IXYZ", repeat=k)])
     conjugated = (unitary @ strings @ unitary.conj().T).reshape(len(strings), -1)
     return (strings.reshape(len(strings), -1).conj() @ conjugated.T).real / len(unitary)
 
@@ -308,20 +286,18 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
     """Apply one instruction, attaching the depolarizing channel if requested."""
     if op.name not in GATES:
         raise ValueError(f"unknown gate {op.name!r}")
-    arity, noisy = GATES[op.name]
+    arity, noisy, definition = GATES[op.name]
     if len(op.qubits) != arity:
         raise ValueError(f"{op.name!r} acts on {arity} qubit(s), got {len(op.qubits)}")
     n, qubits = state.n, tuple(op.qubits)
     _check_targets(n, qubits)
-    if op.angle is None and op.name not in ("h", "x", "cnot"):
+    if op.angle is None and isinstance(definition, str):
         raise ValueError(f"gate {op.name!r} needs an angle")
     if isinstance(state, DensityMatrix):
         const, cos_term, sin_term = _ptm_terms(op.name)
         angle = op.angle or 0.0
         ptm = const + math.cos(angle) * cos_term + math.sin(angle) * sin_term
         state.pauli = _contract(state.pauli.reshape([4] * n), ptm, qubits).reshape(-1)
-    elif op.name in ("rz", "rzz"):
-        state.amplitudes = state.amplitudes * _z_phase_vector(n, qubits, op.angle)
     else:
         amps = _contract(state.amplitudes.reshape([2] * n), gate_matrix(op.name, op.angle), qubits)
         state.amplitudes = amps.reshape(-1)

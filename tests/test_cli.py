@@ -322,6 +322,8 @@ class TestCommandLine:
             (["--lambda", "1000000000.001,1000000000.002"], "lambda 1000000000.002 is repeated"),
             (["--noise-preset", "paper"], "regime I is noiseless; noise applies to regime III only"),
             (["--regime", "II", "--noise-preset", "paper"], "regime II is noiseless"),
+            (["--seeds=-2"], "seed count -2 must be >= 1"),
+            (["--seeds", "0"], "seed count 0 must be >= 1"),
         ],
     )
     def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
@@ -346,6 +348,7 @@ class TestCommandLine:
             ({"seeds": [-1, 2]}, "seed -1 is negative; seeds must be >= 0"),
             ({"master_seed": -5}, "master_seed -5 is negative; it must be >= 0"),
             ({"regime": "II", "noise": {"p01": 0.01}}, "regime II is noiseless"),
+            ({"seeds": -2}, "seed count -2 must be >= 1"),
         ],
     )
     def test_run_rejects_bad_config_file(self, tmp_path, capsys, config, message):
@@ -355,6 +358,15 @@ class TestCommandLine:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_reports_config_parse_error(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"regime": "I",\n bad}')
+        argv = ["run", "--config", str(config_path), "--instance", toy_instance_path(),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"error: {config_path}: invalid JSON at line 2 column 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_of_defaults_matches_empty_config(self, tmp_path):

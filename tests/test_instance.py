@@ -28,6 +28,7 @@ MALFORMED_INSTANCES = [
     ({"distances": [[0, "1"], [1, 0]], "vehicles": 1},
      "distances must be a list of rows of numbers"),
     ({"distances": [[0, 1], [1, 0]], "vehicles": 1, "extra": 3}, "unknown instance key 'extra'"),
+    ({"distances": [[0, 1], [1, 0]], "vehicles": True}, "vehicles must be a whole number, got True"),
 ]
 
 

@@ -208,8 +208,8 @@ class TestObjective:
 class TestMinimize:
     def test_single_restart_single_eval_returns_start(self, toy):
         spec = AnsatzSpec.standard(6, 2)
-        cfg = OptimizerConfig(restarts=1, max_evals=1, seed=123)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig(restarts=1, max_evals=1)
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=123)
         children = np.random.SeedSequence(123).spawn(2)
         expected = ParameterPoint.random(2, np.random.default_rng(children[0]))
         assert np.allclose(result.params.as_vector(), expected.as_vector(), atol=1e-12)
@@ -217,14 +217,14 @@ class TestMinimize:
 
     def test_reported_objective_is_best_evaluated(self, toy):
         spec = AnsatzSpec.standard(6, 2)
-        cfg = OptimizerConfig(restarts=2, max_evals=40, seed=5)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig(restarts=2, max_evals=40)
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=5)
         assert result.objective == pytest.approx(min(v for _, _, v in result.trace), abs=1e-12)
 
     def test_improves_on_zero_depth_baseline(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=3, lam=0.7)
-        cfg = OptimizerConfig(seed=0)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig()
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=0)
         baseline_spec = AnsatzSpec.constraint_aware(toy.constraints, depth=0, lam=0.7)
         baseline = objective(
             ParameterPoint((), ()), baseline_spec, toy.cost, ObjectiveKind.exact(), cfg
@@ -233,33 +233,33 @@ class TestMinimize:
 
     def test_exact_pipeline_is_reproducible(self, toy):
         spec = AnsatzSpec.standard(6, 2)
-        cfg = OptimizerConfig(restarts=2, max_evals=30, seed=9)
-        a = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
-        b = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig(restarts=2, max_evals=30)
+        a = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=9)
+        b = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=9)
         assert a.objective == b.objective
         assert a.params == b.params
         assert a.trace == b.trace
 
     def test_stochastic_pipeline_is_reproducible(self, toy):
         spec = AnsatzSpec.standard(6, 1)
-        cfg = OptimizerConfig(restarts=2, max_evals=15, seed=9, shots_objective=64, batches=2)
-        a = minimize(spec, toy.cost, ObjectiveKind.shots(), cfg)
-        b = minimize(spec, toy.cost, ObjectiveKind.shots(), cfg)
+        cfg = OptimizerConfig(restarts=2, max_evals=15, shots_objective=64, batches=2)
+        a = minimize(spec, toy.cost, ObjectiveKind.shots(), cfg, seed=9)
+        b = minimize(spec, toy.cost, ObjectiveKind.shots(), cfg, seed=9)
         assert a.objective == b.objective
         assert a.params == b.params
 
     def test_restarts_use_distinct_streams(self, toy):
         spec = AnsatzSpec.standard(6, 2)
-        cfg = OptimizerConfig(restarts=3, max_evals=5, seed=2)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig(restarts=3, max_evals=5)
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=2)
         first_evals = [v for r, i, v in result.trace if i == 0]
         assert len(first_evals) == 3
         assert len(set(first_evals)) == 3
 
     def test_trace_spans_all_restarts(self, toy):
         spec = AnsatzSpec.standard(6, 1)
-        cfg = OptimizerConfig(restarts=3, max_evals=12, seed=1)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig(restarts=3, max_evals=12)
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=1)
         assert {r for r, _, _ in result.trace} == {0, 1, 2}
         assert all(i < 12 for _, i, _ in result.trace)
 
@@ -287,8 +287,8 @@ class TestFinalSampling:
         # one full standard-QAOA pipeline at defaults: the optimum should be
         # the most frequent sampled string for this seed
         spec = AnsatzSpec.standard(6, 3)
-        cfg = OptimizerConfig(seed=0)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg)
+        cfg = OptimizerConfig()
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=0)
         hist = sample(
             final_distribution(spec, toy.cost, result.params, ObjectiveKind.exact()),
             cfg.shots_final, rng=np.random.default_rng(0),

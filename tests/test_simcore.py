@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import pauli_strings_on
+from conftest import PAULI_MATRICES, pauli_strings_on
 from vrpqaoa.encode import CostOperator
 from vrpqaoa.simcore import (
     DensityMatrix,
@@ -46,6 +47,24 @@ def hermitian_expm(h: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.exp(-1j * vals)) @ vecs.conj().T
 
 
+#: Each gate written out independently of ``simcore.GATES``: the fixed unitaries
+#: as literal matrices, each rotation exp(-i angle P / 2) by its Pauli string P.
+FIXED_GATES = {
+    "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "x": np.array([[0, 1], [1, 0]]),
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+ROTATION_GENERATORS = {"rx": "X", "rz": "Z", "rzz": "ZZ", "rxx": "XX", "ryy": "YY"}
+RANDOM_ANGLES = np.random.default_rng(7).uniform(-7.0, 7.0, 5)
+
+
+def reference_gate(name: str, angle: float) -> np.ndarray:
+    if name in FIXED_GATES:
+        return FIXED_GATES[name]
+    factors = [PAULI_MATRICES["IXYZ".index(ch)] for ch in ROTATION_GENERATORS[name]]
+    return hermitian_expm(angle / 2 * functools.reduce(np.kron, factors))
+
+
 class TestGateMatrices:
     @pytest.mark.parametrize(
         "name,angle",
@@ -61,8 +80,13 @@ class TestGateMatrices:
         ],
     )
     def test_unitarity(self, name, angle):
-        u = gate_matrix(name, angle)
-        assert np.allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
+        angles = [angle]
+        if angle is not None:  # a rotation: also the special angles and a few random ones
+            angles += [0.0, math.pi / 2, math.pi, -math.pi, *RANDOM_ANGLES]
+        for theta in angles:
+            u = gate_matrix(name, theta)
+            assert np.allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
+            assert np.abs(u - reference_gate(name, theta)).max() <= 1e-12
 
     def test_rotation_needs_angle(self):
         with pytest.raises(ValueError):
@@ -256,6 +280,11 @@ class TestDepolarize:
         before = rho.rho.copy()
         depolarize(rho, (1,), 0.0)
         assert np.allclose(rho.rho, before, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_targets_checked_for_every_parameter(self, lam):
+        with pytest.raises(ValueError, match="qubit index 7 out of range"):
+            depolarize(DensityMatrix(2), (7,), lam)
 
     def test_full_mixing_single_qubit(self):
         rho = DensityMatrix(1)  # |0><0|
