@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .simcore import (
     State,
     StateVector,
     _contract,
+    _depolarizing_mask,
+    _ptm_terms,
     apply_gate,
 )
 
@@ -132,6 +134,10 @@ class AnsatzSpec:
         paired = [q for pair in self.xy_pairs for q in pair]
         if len(set(paired)) != len(paired):
             raise ValueError("xy pairs must be pairwise disjoint")
+        if not all(0 <= q < self.n for q in paired):
+            raise ValueError(f"xy_pairs {self.xy_pairs} name a qubit outside 0..{self.n - 1}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
     @classmethod
     def standard(cls, n: int, depth: int) -> "AnsatzSpec":
@@ -310,6 +316,70 @@ def _recipe_state(spec: AnsatzSpec, noise: NoiseModel | None, noisy_init: bool) 
     return state
 
 
+def exact_layers(
+    spec: AnsatzSpec, cost: CostOperator, scale: float, gammas: Sequence[float],
+    betas: Sequence[float],
+) -> StateVector:
+    """The exact engine's p-layer loop: each layer is the cost phase, then the
+    mixer in closed form through the spec's real eigenbasis, with no gate list."""
+    eigen, basis = spec._mixer_basis
+    state = prepare_initial_state(spec)
+    for gamma, beta in zip(gammas, betas):
+        # real matmuls on the (2^n, 2) float view: a complex product goes to
+        # OpenBLAS zgemv, whose threads stall when processes share the cores
+        amps = state.amplitudes * np.exp(-1j * gamma * cost.diagonal / scale)
+        amps = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
+        amps *= np.exp(-1j * beta * eigen)
+        state.amplitudes = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
+    return state
+
+
+def _combine(trig: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """A + cos B + sin C, batched: ``trig`` (..., 3) is (1, cos, sin), ``terms`` (..., 3, d, d)."""
+    return np.einsum("...t,...tij->...ij", trig, terms)
+
+
+def compile_noisy_layers(
+    spec: AnsatzSpec, ising: IsingCoefficients, scale: float, noise: NoiseModel, noisy_init: bool
+) -> Callable[[Sequence[float], Sequence[float]], DensityMatrix]:
+    """The gate engine's noisy p-layer loop, compiled once into fixed Pauli-transfer
+    terms: (gammas, betas) -> DensityMatrix.
+
+    A depolarizing channel commutes with any unitary on its own support, so each
+    mask is folded into the rows of its gate's terms.  Every RZ follows the last
+    RZZ and meets only gates on other qubits before the mixer on its qubit, so
+    RZ(q) and its channel join that mixer block.  A layer is then one contraction
+    per RZZ, one 16x16 block D RYY D RXX (RZ x RZ) per XY pair and one 4x4 block
+    D RX D RZ per X qubit.  A zero coupling or field has no gate and no channel.
+    """
+    d1, d2 = _depolarizing_mask(1, (0,), noise.p1), _depolarizing_mask(2, (0, 1), noise.p2)
+    rzz, ryy, rxx, rx = (d[:, None] * np.array(_ptm_terms(g)) for g, d in
+                         (("rzz", d2), ("ryy", d2), ("rxx", d2), ("rx", d1)))
+    rz = np.array([np.where(h, d1, 1.0)[:, None] * _ptm_terms("rz") for h in ising.fields])
+    couplings = [(pair, c / scale) for pair, c in sorted(ising.couplings.items()) if c]
+    rates = [c for _, c in couplings] + [h / scale for h in ising.fields]
+    targets = [pair for pair, _ in couplings] + list(spec.xy_pairs) + [(q,) for q in spec.x_qubits]
+    a, b = ([pair[i] for pair in spec.xy_pairs] for i in (0, 1))
+    start, k = _recipe_state(spec, noise, noisy_init), len(couplings)
+
+    def layers(gammas: Sequence[float], betas: Sequence[float]) -> DensityMatrix:
+        angles = 2 * np.concatenate([np.outer(gammas, rates), np.outer(betas, [1.0, spec.lam])], 1)
+        trig = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], -1)
+        z = _combine(trig[:, k:-2], rz)  # (layer, qubit, 4, 4): each qubit's D RZ
+        kron = np.einsum("lpij,lpkm->lpikjm", z[:, a], z[:, b]).reshape(len(z), len(a), 16, 16)
+        xy = (_combine(trig[:, -2], ryy) @ _combine(trig[:, -2], rxx))[:, None] @ kron
+        x = _combine(trig[:, -1], rx)[:, None] @ z[:, list(spec.x_qubits)]
+        state = start.copy()
+        pauli = state.pauli.reshape([4] * spec.n)
+        for blocks in zip(_combine(trig[:, :k], rzz), xy, x):
+            for block, axes in zip([*blocks[0], *blocks[1], *blocks[2]], targets):
+                pauli = _contract(pauli, block, axes)
+        state.pauli = pauli.reshape(-1)
+        return state
+
+    return layers
+
+
 def evolve(
     spec: AnsatzSpec,
     cost: CostOperator | IsingCoefficients,
@@ -323,11 +393,10 @@ def evolve(
     """Run the p-layer alternation of cost and mixer from the initial state.
 
     The exact engine (regimes I and II) consumes a diagonal CostOperator and
-    evolves a pure statevector: each layer is the cost phase, then the mixer
-    in closed form through the spec's real eigenbasis, with no gate list.
-    The gate engine is its reference: it consumes Ising coefficients, runs
-    the RZZ/RZ cost gates and the mixer gates one by one, and switches to
-    the density-matrix representation whenever gate noise is present.
+    evolves a pure statevector through :func:`exact_layers`.  The gate
+    engine is its reference: it consumes Ising coefficients, runs the RZZ/RZ
+    cost gates and the mixer gates one by one, and switches to the
+    density-matrix representation whenever gate noise is present.
     """
     if params.depth != spec.depth:
         raise ValueError(f"expected {spec.depth} layers of parameters, got {params.depth}")
@@ -340,16 +409,7 @@ def evolve(
             raise ValueError("scale must be positive")
         if cost.n != spec.n:
             raise ValueError("cost diagonal does not match the state size")
-        eigen, basis = spec._mixer_basis
-        state = prepare_initial_state(spec)
-        for gamma, beta in zip(params.gamma, params.beta):
-            # real matmuls on the (2^n, 2) float view: a complex product goes to
-            # OpenBLAS zgemv, whose threads stall when processes share the cores
-            amps = state.amplitudes * np.exp(-1j * gamma * cost.diagonal / scale)
-            amps = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
-            amps *= np.exp(-1j * beta * eigen)
-            state.amplitudes = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
-        return state
+        return exact_layers(spec, cost, scale, params.gamma, params.beta)
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")
     if not isinstance(cost, IsingCoefficients):

@@ -253,9 +253,7 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self) -> None:
-        regime_objective_kind(self.regime, self.noise)  # raises on a bad regime or missing noise
-        if self.regime != "III" and self.noise not in (None, NoiseModel()):
-            raise ValueError(f"regime {self.regime} is noiseless; noise applies to regime III only")
+        ObjectiveKind(self.regime, self.noise)  # raises on a bad regime or a misplaced noise model
         if self.ansatz not in (STANDARD, CONSTRAINT_AWARE, "both"):
             raise ValueError("ansatz must be standard, constraint_aware, or both")
         if self.ansatz != STANDARD and not self.lambdas:

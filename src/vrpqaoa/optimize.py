@@ -9,7 +9,9 @@ comparable across regimes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +22,9 @@ from .ansatz import (
     BETA_BOUNDS,
     GAMMA_BOUNDS,
     ParameterPoint,
+    compile_noisy_layers,
     evolve,
+    exact_layers,
 )
 from .encode import CompiledCost
 from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
@@ -28,6 +32,9 @@ from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
 #: Evaluation regimes: exact statevector (I), finite shots (II) and noisy
 #: finite shots on the density-matrix engine (III).
 REGIMES = ("I", "II", "III")
+
+#: The measurement distribution at Nelder-Mead's raw vector, as compile_evaluator builds it.
+Evaluator = Callable[[Sequence[float]], np.ndarray]
 
 #: Offset of each coordinate of the initial Nelder-Mead simplex.
 NM_STEP = 0.25
@@ -45,7 +52,10 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_evals", "shots_objective", "batches", "shots_final"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -62,6 +72,8 @@ class ObjectiveKind:
             raise ValueError(f"unknown regime {self.regime!r}; regimes are {', '.join(REGIMES)}")
         if self.regime == "III" and self.noise is None:
             raise ValueError("regime III needs a noise model")
+        if self.regime != "III" and self.noise not in (None, NoiseModel()):
+            raise ValueError(f"regime {self.regime} is noiseless; noise applies to regime III only")
 
     @classmethod
     def exact(cls) -> "ObjectiveKind":
@@ -78,6 +90,29 @@ class ObjectiveKind:
     @property
     def stochastic(self) -> bool:
         return self.regime != "I"
+
+
+def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind) -> Evaluator:
+    """``probs(vec)``: the measurement distribution at Nelder-Mead's raw vector
+    (the gammas, then the betas), compiled once per run.  It runs the exact
+    engine's loop, or under gate noise the compiled noisy layer; the engine
+    choice of :func:`final_distribution` is its reference."""
+    if spec.n != cost.full_diagonal.n:
+        raise ValueError(f"the ansatz has {spec.n} qubits but the cost has {cost.full_diagonal.n}")
+    noise, p = kind.noise, spec.depth  # None or all zero outside regime III
+    if noise is not None and noise.has_gate_noise:
+        layers = compile_noisy_layers(spec, cost.ising, cost.scale, noise, kind.noisy_init)
+    else:
+        layers = functools.partial(exact_layers, spec, cost.phase_diagonal, cost.scale)
+
+    def probs(vec: Sequence[float]) -> np.ndarray:
+        if len(vec) != 2 * p:
+            raise ValueError(f"expected {2 * p} angles, got {len(vec)}")
+        angles = [float(v) for v in vec]
+        out = measure_distribution(layers(angles[:p], angles[p:]))
+        return out if noise is None else apply_readout_confusion(out, noise.p01, noise.p10)
+
+    return probs
 
 
 def final_distribution(
@@ -111,15 +146,18 @@ def final_distribution(
 
 
 def objective(
-    params: ParameterPoint,
+    params: ParameterPoint | np.ndarray,
     spec: AnsatzSpec,
     cost: CompiledCost,
     kind: ObjectiveKind,
     cfg: OptimizerConfig,
     rng: np.random.Generator | None = None,
+    evaluator: Evaluator | None = None,
 ) -> float:
-    """Scaled energy at the given angles under the chosen evaluator."""
-    probs = final_distribution(spec, cost, params, kind)
+    """Scaled energy at the given angles (a point, or Nelder-Mead's raw vector)
+    under ``evaluator``, by default ``compile_evaluator(spec, cost, kind)``."""
+    vec = params.as_vector() if isinstance(params, ParameterPoint) else params
+    probs = (evaluator or compile_evaluator(spec, cost, kind))(vec)
     diag = cost.full_diagonal.diagonal
     if not kind.stochastic:
         return float(probs @ diag) / cost.scale
@@ -245,6 +283,7 @@ def minimize(
     children = root.spawn(cfg.restarts + 1)
     eval_key = children[-1]
     lower, upper = _parameter_bounds(spec.depth)
+    evaluator = compile_evaluator(spec, cost, kind)
 
     trace: list[tuple[int, int, float]] = []
     candidates: list[tuple[ParameterPoint, float]] = []
@@ -253,8 +292,7 @@ def minimize(
         start = ParameterPoint.random(spec.depth, rng).as_vector()
 
         def f(vec: np.ndarray) -> float:
-            point = ParameterPoint.from_vector(vec)
-            return objective(point, spec, cost, kind, cfg, rng=rng)
+            return objective(vec, spec, cost, kind, cfg, rng, evaluator)
 
         best_x, best_f, history = nelder_mead(f, start, lower, upper, cfg.max_evals)
         trace.extend((r, i, v) for i, v in enumerate(history))
@@ -262,7 +300,7 @@ def minimize(
 
     if kind.stochastic:
         scores = [
-            objective(point, spec, cost, kind, cfg, rng=np.random.default_rng(eval_key))
+            objective(point, spec, cost, kind, cfg, np.random.default_rng(eval_key), evaluator)
             for point, _ in candidates
         ]
     else:

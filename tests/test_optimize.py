@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE, all_bitstrings, penalty_sum_value
-from vrpqaoa.ansatz import AnsatzSpec, ConstraintComponent, ParameterPoint, evolve
+from vrpqaoa.ansatz import AnsatzSpec, ConstraintComponent, ParameterPoint, evolve, init_circuit
 from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
+    compile_evaluator,
     final_distribution,
     minimize,
     nelder_mead,
@@ -152,6 +153,45 @@ class TestObjective:
         with pytest.raises(ValueError, match="unknown regime 'IV'"):
             ObjectiveKind("IV")
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda toy: ObjectiveKind("I", NoiseModel(p1=0.5)), "regime I is noiseless"),
+            (lambda toy: ObjectiveKind("II", NoiseModel(p01=0.1)), "regime II is noiseless"),
+            (
+                lambda toy: compile_evaluator(
+                    AnsatzSpec.standard(5, 1), toy.cost, ObjectiveKind.noisy(PAPER_NOISE)
+                ),
+                "the ansatz has 5 qubits but the cost has 6",
+            ),
+            (lambda toy: AnsatzSpec(6, 1, 0.5, ((0, 9),)), r"xy_pairs \(\(0, 9\),\) name a qubit"),
+            (lambda toy: AnsatzSpec(6, 1, math.nan), "lam must be finite and >= 0, got nan"),
+            (lambda toy: AnsatzSpec(6, 1, -0.5), "lam must be finite and >= 0, got -0.5"),
+            (lambda toy: OptimizerConfig(max_evals=True), "max_evals must be a whole number"),
+            (lambda toy: OptimizerConfig(restarts=2.5), "restarts must be a whole number"),
+        ],
+    )
+    def test_bad_input_is_rejected_naming_the_field(self, toy, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(toy)
+
+    def test_all_zero_noise_model_is_allowed_in_every_regime(self):
+        for regime in ("I", "II", "III"):
+            assert ObjectiveKind(regime, NoiseModel()).noise == NoiseModel()
+
+    def test_raw_vector_gives_the_point_value(self, toy):
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
+        point = ParameterPoint((0.4, 0.9), (0.3, 0.6))
+        kind, cfg = ObjectiveKind.noisy(PAPER_NOISE), OptimizerConfig()
+        evaluator = compile_evaluator(spec, toy.cost, kind)
+        by_point = objective(point, spec, toy.cost, kind, cfg, np.random.default_rng(1))
+        by_vector = objective(
+            point.as_vector(), spec, toy.cost, kind, cfg, np.random.default_rng(1), evaluator
+        )
+        assert by_point == by_vector
+        with pytest.raises(ValueError, match="expected 4 angles, got 2"):
+            evaluator(np.zeros(2))
+
     def test_zero_readout_error_leaves_distribution_unchanged(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.4,), (0.3,))
@@ -255,6 +295,28 @@ class TestMinimize:
         first_evals = [v for r, i, v in result.trace if i == 0]
         assert len(first_evals) == 3
         assert len(set(first_evals)) == 3
+
+    def test_noisy_evaluations_apply_no_gate_or_channel(self, toy, monkeypatch):
+        from vrpqaoa import ansatz, simcore
+
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(ansatz, "apply_gate", spy(ansatz.apply_gate))
+        monkeypatch.setattr(simcore, "depolarize", spy(simcore.depolarize))
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.45)
+        cfg = OptimizerConfig(restarts=2, max_evals=20, shots_objective=64, batches=1)
+        result = minimize(spec, toy.cost, ObjectiveKind.noisy(PAPER_NOISE), cfg, seed=3)
+        assert len(result.trace) == 40
+        # at most the once-per-spec initial-state recipe runs gate by gate
+        assert calls.count("apply_gate") <= len(init_circuit(spec))
+        assert calls.count("depolarize") <= len(init_circuit(spec))
 
     def test_trace_spans_all_restarts(self, toy):
         spec = AnsatzSpec.standard(6, 1)

@@ -6,6 +6,7 @@ of the hybrid ansatz are exercised; one draws bare one-hot constraint sets
 on up to 8 variables.  Example counts are capped to keep the suite to a few
 seconds; ``derandomize`` makes every run draw the same cases.
 """
+import dataclasses
 import itertools
 import math
 
@@ -28,8 +29,8 @@ from vrpqaoa.ansatz import (
 )
 from vrpqaoa.cli import NOISE_PRESETS, build_problem
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance
-from vrpqaoa.optimize import ObjectiveKind, final_distribution, nelder_mead
-from vrpqaoa.simcore import NoiseModel, measure_distribution
+from vrpqaoa.optimize import ObjectiveKind, compile_evaluator, final_distribution, nelder_mead
+from vrpqaoa.simcore import NoiseModel, apply_readout_confusion, measure_distribution
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -60,11 +61,11 @@ def params(draw, depth):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, max_depth=3):
     """A problem, one of its two ansaetze, and angles for it."""
     problem = draw(problems())
-    depth = draw(st.integers(min_value=1, max_value=3))
-    lam = draw(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
+    depth = draw(st.integers(min_value=1, max_value=max_depth))
+    lam = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5, allow_nan=False)))
     if draw(st.booleans()):
         spec = AnsatzSpec.constraint_aware(problem.constraints, depth, lam)
     else:
@@ -178,6 +179,46 @@ def test_noisy_distribution_matches_textbook_density_matrix(case, gate_noise, p0
     cost = problem.cost
     reference = textbook_noisy_distribution(spec, cost.ising, point, cost.scale, noise)
     assert np.abs(probs - reference).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    cases(max_depth=4),
+    st.one_of(st.just((paper.p1, paper.p2)), st.tuples(depolarizing, depolarizing)),
+    readout,
+    readout,
+    st.booleans(),
+)
+def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
+    case, gate_noise, p01, p10, zero_terms
+):
+    problem, spec, point = case
+    cost = problem.cost
+    if zero_terms:  # a zero field and a zero coupling: no gate and no channel
+        ising = cost.ising
+        first = min(ising.couplings, default=None)
+        couplings = {**ising.couplings, **({} if first is None else {first: 0.0})}
+        fields = (0.0,) + ising.fields[1:]
+        cost = dataclasses.replace(
+            cost, ising=dataclasses.replace(ising, fields=fields, couplings=couplings)
+        )
+    noise = NoiseModel(*gate_noise, p01=p01, p10=p10)
+    assume(noise.has_gate_noise)
+    probs = compile_evaluator(spec, cost, ObjectiveKind.noisy(noise))(point.as_vector())
+    state = evolve(spec, cost.ising, point, engine="gate", scale=cost.scale, noise=noise)
+    gate = apply_readout_confusion(measure_distribution(state), p01, p10)
+    assert np.abs(probs - gate).max() <= 1e-12
+    reference = textbook_noisy_distribution(spec, cost.ising, point, cost.scale, noise)
+    assert np.abs(probs - reference).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cases(max_depth=4), st.sampled_from(["I", "II", "III"]), readout, readout)
+def test_noiseless_evaluator_is_the_exact_engine(case, regime, p01, p10):
+    problem, spec, point = case
+    kind = ObjectiveKind(regime, NoiseModel(p01=p01, p10=p10) if regime == "III" else None)
+    probs = compile_evaluator(spec, problem.cost, kind)(point.as_vector())
+    assert np.array_equal(probs, final_distribution(spec, problem.cost, point, kind))
 
 
 @PROPERTY_SETTINGS
