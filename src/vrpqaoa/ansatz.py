@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encode import CostOperator, IsingCoefficients
+from .encode import CostOperator, IsingCoefficients, check_real, check_whole
 from .instance import EQUAL, ConstraintSet, _bit_column, index_bitstring
 from .simcore import (
     SQRT2_INV,
@@ -129,8 +129,7 @@ class AnsatzSpec:
     components: tuple[ConstraintComponent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+        check_whole("depth", self.depth, 0)
         paired = [q for pair in self.xy_pairs for q in pair]
         if len(set(paired)) != len(paired):
             raise ValueError("xy pairs must be pairwise disjoint")
@@ -138,6 +137,12 @@ class AnsatzSpec:
             raise ValueError(f"xy_pairs {self.xy_pairs} name a qubit outside 0..{self.n - 1}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+
+    def check_cost_size(self, n: int) -> None:
+        """Raise a ValueError naming both qubit counts unless a cost on ``n`` qubits fits."""
+        if n != self.n:
+            raise ValueError(f"cost diagonal does not match the state size: "
+                             f"the ansatz has {self.n} qubits but the cost has {n}")
 
     @classmethod
     def standard(cls, n: int, depth: int) -> "AnsatzSpec":
@@ -205,6 +210,9 @@ class ParameterPoint:
     def __post_init__(self) -> None:
         if len(self.gamma) != len(self.beta):
             raise ValueError("gamma and beta must have equal length")
+        for name in ("gamma", "beta"):
+            for angle in getattr(self, name):
+                check_real(name, angle)
 
     @property
     def depth(self) -> int:
@@ -400,6 +408,7 @@ def evolve(
     """
     if params.depth != spec.depth:
         raise ValueError(f"expected {spec.depth} layers of parameters, got {params.depth}")
+    spec.check_cost_size(cost.n)
     if engine == "exact":
         if not isinstance(cost, CostOperator):
             raise TypeError("exact engine needs a CostOperator diagonal")
@@ -407,8 +416,6 @@ def evolve(
             raise ValueError("the exact engine is noiseless; use engine='gate'")
         if scale <= 0:
             raise ValueError("scale must be positive")
-        if cost.n != spec.n:
-            raise ValueError("cost diagonal does not match the state size")
         return exact_layers(spec, cost, scale, params.gamma, params.beta)
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from types import UnionType
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
@@ -138,11 +138,7 @@ class RunRecord:
             "objective": self.objective,
             "shots": self.histogram.shots,
             "histogram": dict(sorted(self.histogram.counts.items())),
-            "metrics": {
-                "optimal_probability": self.metrics.optimal_probability,
-                "energy_gap": self.metrics.energy_gap,
-                "sampling_rank": self.metrics.sampling_rank,
-            },
+            "metrics": asdict(self.metrics),
             "distribution": [float(v) for v in self.distribution],
         }
 
@@ -186,10 +182,6 @@ def run_single(
     )
 
 
-def _run_task(args: tuple) -> RunRecord:
-    return run_single(*args)
-
-
 def run_cells(
     problem: Problem,
     cells: Sequence[tuple[str, float | None]],
@@ -212,21 +204,18 @@ def run_cells(
         for model, lam in cells
         for seed in seeds
     ]
-    records: dict[tuple[str, float | None, int], RunRecord] = {}
-
-    def keep(record: RunRecord) -> None:
-        records[(record.model, record.lam, record.seed)] = record
-        if on_record is not None:
-            on_record(record)
-
+    notify = on_record or (lambda record: None)
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for future in as_completed([pool.submit(_run_task, task) for task in tasks]):
-                keep(future.result())
-    else:
-        for task in tasks:
-            keep(_run_task(task))
-    return [records[(model, lam, seed)] for model, lam in cells for seed in seeds]
+            futures = [pool.submit(run_single, *task) for task in tasks]
+            for future in as_completed(futures):
+                notify(future.result())
+            return [future.result() for future in futures]
+    records = []
+    for task in tasks:
+        records.append(run_single(*task))
+        notify(records[-1])
+    return records
 
 
 #: Circuit depth used when a config does not specify one.  At p <= 2 the
@@ -309,13 +298,10 @@ def aggregate_rows(records: list[RunRecord]) -> list[dict]:
         by_cell.setdefault((record.model, record.lam), []).append(record)
     rows = []
     for (model, lam), cell in by_cell.items():
-        values = {
-            "p_opt": [r.metrics.optimal_probability for r in cell],
-            "gap": [r.metrics.energy_gap for r in cell],
-            "rank": [float(r.metrics.sampling_rank) for r in cell],
-        }
         row: dict = {"model": model, "lambda": "" if lam is None else _fmt(lam)}
-        for name, data in values.items():
+        for metric in fields(RunMetrics):
+            name = metric.metadata["column"]
+            data = [float(getattr(r.metrics, metric.name)) for r in cell]
             # spread statistics are undefined for a single run
             agg = aggregate(data) if len(data) >= 2 else None
             row[f"{name}_mean"] = _fmt(data[0] if agg is None else agg.mean)
@@ -340,12 +326,9 @@ def write_plot_csv(rows: list[dict], regime: str, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("regime,model,lambda,metric,mean,ci_low,ci_high\n")
         for row in rows:
-            for metric in ("p_opt", "gap", "rank"):
-                fh.write(
-                    f"{regime},{row['model']},{row['lambda']},{metric},"
-                    f"{row[f'{metric}_mean']},{row[f'{metric}_ci_low']},"
-                    f"{row[f'{metric}_ci_high']}\n"
-                )
+            for metric in (f.metadata["column"] for f in fields(RunMetrics)):
+                stats = [row[f"{metric}_{stat}"] for stat in ("mean", "ci_low", "ci_high")]
+                fh.write(",".join([regime, row["model"], row["lambda"], metric, *stats]) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:

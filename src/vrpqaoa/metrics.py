@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .encode import QuboProblem, qubo_value
@@ -11,11 +11,11 @@ from .simcore import ShotHistogram
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Metrics of one seeded run's final histogram."""
+    """The run metrics, listed once: each field is a run-JSON key, ``column`` its CSV stem."""
 
-    optimal_probability: float
-    energy_gap: float
-    sampling_rank: int
+    optimal_probability: float = field(metadata={"column": "p_opt"})
+    energy_gap: float = field(metadata={"column": "gap"})
+    sampling_rank: int = field(metadata={"column": "rank"})
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,9 @@ def sampling_rank(hist: ShotHistogram, optimal_set: Sequence[str]) -> int:
 
 
 def run_metrics(
-    hist: ShotHistogram,
-    optimal_set: Sequence[str],
-    qubo: QuboProblem,
-    best_cost: float,
+    hist: ShotHistogram, optimal_set: Sequence[str], qubo: QuboProblem, best_cost: float
 ) -> RunMetrics:
+    """Every run metric of one seeded run's final histogram."""
     return RunMetrics(
         optimal_probability=optimal_state_probability(hist, optimal_set),
         energy_gap=expected_energy_gap(hist, qubo, best_cost),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +25,7 @@ from .ansatz import (
     evolve,
     exact_layers,
 )
-from .encode import CompiledCost
+from .encode import CompiledCost, check_whole
 from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
 
 #: Evaluation regimes: exact statevector (I), finite shots (II) and noisy
@@ -52,11 +51,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_evals", "shots_objective", "batches", "shots_final"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_whole(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,7 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
     (the gammas, then the betas), compiled once per run.  It runs the exact
     engine's loop, or under gate noise the compiled noisy layer; the engine
     choice of :func:`final_distribution` is its reference."""
-    if spec.n != cost.full_diagonal.n:
-        raise ValueError(f"the ansatz has {spec.n} qubits but the cost has {cost.full_diagonal.n}")
+    spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
     if noise is not None and noise.has_gate_noise:
         layers = compile_noisy_layers(spec, cost.ising, cost.scale, noise, kind.noisy_init)

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import CostOperator
+from .encode import CostOperator, check_real
 from .instance import index_bitstring
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -215,10 +215,11 @@ class NoiseModel:
     p10: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
-            raise ValueError("depolarizing parameters must lie in [0, 1]")
-        if not (0.0 <= self.p01 <= 0.5 and 0.0 <= self.p10 <= 0.5):
-            raise ValueError("readout confusion probabilities must lie in [0, 0.5]")
+        for name, top in (("p1", 1.0), ("p2", 1.0), ("p01", 0.5), ("p10", 0.5)):
+            value = getattr(self, name)
+            check_real(name, value)
+            if not 0.0 <= value <= top:
+                raise ValueError(f"{name} must lie in [0, {top:g}], got {value}")
 
     @property
     def r1_bar(self) -> float:

@@ -160,12 +160,16 @@ class TestRunExperiment:
         with open(os.path.join(out, "aggregate.csv")) as fh:
             lines = fh.read().splitlines()
         assert len(lines) == 3  # header + standard + one lambda
-        assert lines[0].startswith("model,lambda,p_opt_mean,p_opt_std")
+        assert lines[0] == (
+            "model,lambda,p_opt_mean,p_opt_std,p_opt_ci_low,p_opt_ci_high,"
+            "gap_mean,gap_std,gap_ci_low,gap_ci_high,rank_mean,rank_std,rank_ci_low,rank_ci_high"
+        )
 
         with open(os.path.join(out, "plot_data.csv")) as fh:
             plot_lines = fh.read().splitlines()
         assert len(plot_lines) == 1 + 2 * 3  # header + 2 cells x 3 metrics
         assert plot_lines[1].startswith("I,standard,")
+        assert [line.split(",")[3] for line in plot_lines[1:]] == ["p_opt", "gap", "rank"] * 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -169,6 +169,29 @@ class TestObjective:
             (lambda toy: AnsatzSpec(6, 1, -0.5), "lam must be finite and >= 0, got -0.5"),
             (lambda toy: OptimizerConfig(max_evals=True), "max_evals must be a whole number"),
             (lambda toy: OptimizerConfig(restarts=2.5), "restarts must be a whole number"),
+            (
+                lambda toy: evolve(
+                    AnsatzSpec.standard(5, 1), toy.cost.ising, ParameterPoint((0.1,), (0.2,)),
+                    engine="gate", scale=toy.cost.scale, noise=PAPER_NOISE,
+                ),
+                "cost diagonal does not match the state size: the ansatz has 5 qubits but the cost has 6",
+            ),
+            (
+                lambda toy: final_distribution(
+                    AnsatzSpec.standard(5, 1), toy.cost, ParameterPoint((0.1,), (0.2,)),
+                    ObjectiveKind.noisy(PAPER_NOISE),
+                ),
+                "the state size: the ansatz has 5 qubits but the cost has 6",
+            ),
+            (lambda toy: ParameterPoint((math.nan,), (0.2,)), "gamma must be a finite real number, got nan"),
+            (lambda toy: ParameterPoint((math.inf,), (0.2,)), "gamma must be a finite real number, got inf"),
+            (lambda toy: ParameterPoint(("a",), (0.1,)), "gamma must be a finite real number, got 'a'"),
+            (lambda toy: ParameterPoint((0.1,), (-math.inf,)), "beta must be a finite real number, got -inf"),
+            (lambda toy: NoiseModel(p1=True), "p1 must be a finite real number, got True"),
+            (lambda toy: NoiseModel(p1="0.1"), "p1 must be a finite real number, got '0.1'"),
+            (lambda toy: NoiseModel(p01=0.6), r"p01 must lie in \[0, 0.5\], got 0.6"),
+            (lambda toy: AnsatzSpec(6, 1.5), "depth must be a whole number, got 1.5"),
+            (lambda toy: AnsatzSpec(6, True), "depth must be a whole number, got True"),
         ],
     )
     def test_bad_input_is_rejected_naming_the_field(self, toy, build, message):
