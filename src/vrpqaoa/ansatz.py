@@ -343,48 +343,87 @@ def exact_layers(
 
 
 def _combine(trig: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """A + cos B + sin C, batched: ``trig`` (..., 3) is (1, cos, sin), ``terms`` (..., 3, d, d)."""
-    return np.einsum("...t,...tij->...ij", trig, terms)
+    """A + cos B + sin C, batched: ``trig`` (..., 3) is (1, cos, sin), ``terms`` (3, d, d)."""
+    d = terms.shape[-1]
+    return (trig @ terms.reshape(3, d * d)).reshape(*trig.shape[:-1], d, d)
 
 
 def compile_noisy_layers(
     spec: AnsatzSpec, ising: IsingCoefficients, scale: float, noise: NoiseModel, noisy_init: bool
 ) -> Callable[[Sequence[float], Sequence[float]], DensityMatrix]:
     """The gate engine's noisy p-layer loop, compiled once into fixed Pauli-transfer
-    terms: (gammas, betas) -> DensityMatrix.
+    terms: (gammas, betas) -> DensityMatrix, for ``spec.depth`` layers.
+    ``layers.plan`` holds one axis permutation per contraction of an evaluation.
 
     A depolarizing channel commutes with any unitary on its own support, so each
     mask is folded into the rows of its gate's terms.  Every RZ follows the last
     RZZ and meets only gates on other qubits before the mixer on its qubit, so
-    RZ(q) and its channel join that mixer block.  A layer is then one contraction
-    per RZZ, one 16x16 block D RYY D RXX (RZ x RZ) per XY pair and one 4x4 block
-    D RX D RZ per X qubit.  A zero coupling or field has no gate and no channel.
+    RZ(q) and its channel join that mixer block: a 16x16 block D RYY D RXX
+    (RZ x RZ) per XY pair and a 4x4 block D RX D RZ per X qubit.  Each block then
+    joins the last RZZ (in ``cost_circuit``'s order) on its support, as (B x B') G
+    or XY G, since every gate in between acts on other qubits.  An X block with
+    no RZZ on its qubit, or an XY block whose qubits are last touched by
+    different RZZs, stays a contraction of its own.  A zero coupling or field has
+    no gate and no channel.  Nothing is transposed back: each contraction brings
+    its targets to the front of the current axis order and leaves them there,
+    and one final permutation restores qubit order.
     """
     d1, d2 = _depolarizing_mask(1, (0,), noise.p1), _depolarizing_mask(2, (0, 1), noise.p2)
     rzz, ryy, rxx, rx = (d[:, None] * np.array(_ptm_terms(g)) for g, d in
                          (("rzz", d2), ("ryy", d2), ("rxx", d2), ("rx", d1)))
-    rz = np.array([np.where(h, d1, 1.0)[:, None] * _ptm_terms("rz") for h in ising.fields])
+    rz = np.array(_ptm_terms("rz"))  # each qubit's mask multiplies it per evaluation
+    z_masks = np.array([np.where(h, d1, 1.0)[:, None] for h in ising.fields])
     couplings = [(pair, c / scale) for pair, c in sorted(ising.couplings.items()) if c]
     rates = [c for _, c in couplings] + [h / scale for h in ising.fields]
-    targets = [pair for pair, _ in couplings] + list(spec.xy_pairs) + [(q,) for q in spec.x_qubits]
-    a, b = ([pair[i] for pair in spec.xy_pairs] for i in (0, 1))
-    start, k = _recipe_state(spec, noise, noisy_init), len(couplings)
+    x_qubits, k, n, p = list(spec.x_qubits), len(couplings), spec.n, spec.depth
+
+    # The 16x16 steps are the RZZs, then (from the identity) the XY pairs no RZZ
+    # hosts.  Step j is multiplied by singles[sides[0, j]] x singles[sides[1, j]],
+    # the blocks of the qubits it hosts (index n is the identity), then by
+    # D RYY D RXX if it holds a pair.  The X blocks no RZZ hosts follow.
+    last = {q: j for j, (pair, _) in enumerate(couplings) for q in pair}
+    steps, xy_steps = [pair for pair, _ in couplings], []
+    for a, b in spec.xy_pairs:
+        j = last[a] if a in last and last[a] == last.get(b) else len(steps)
+        steps[j:j + 1] = [(a, b)]  # a host takes the pair's order (RZZ is symmetric), or append
+        xy_steps.append(j)
+    sides = np.full((2, len(steps)), n)
+    for j in xy_steps:
+        sides[:, j] = steps[j]
+    for q in x_qubits:
+        if q in last:
+            sides[steps[last[q]].index(q), last[q]] = q
+    x_alone = [q for q in x_qubits if q not in last]
+    order, plan = list(range(n)), []
+    for axes in (steps + [(q,) for q in x_alone]) * p:
+        plan.append(tuple(order.index(q) for q in axes) + tuple(
+            i for i, q in enumerate(order) if q not in axes))
+        order = [order[i] for i in plan[-1]]
+    restore = tuple(order.index(q) for q in range(n))
+    start, shape = _recipe_state(spec, noise, noisy_init), [4] * n
+    eyes = np.broadcast_to(np.eye(4), (p, 1, 4, 4))
+    units = np.broadcast_to(np.eye(16), (p, len(steps) - k, 16, 16))
 
     def layers(gammas: Sequence[float], betas: Sequence[float]) -> DensityMatrix:
         angles = 2 * np.concatenate([np.outer(gammas, rates), np.outer(betas, [1.0, spec.lam])], 1)
         trig = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], -1)
-        z = _combine(trig[:, k:-2], rz)  # (layer, qubit, 4, 4): each qubit's D RZ
-        kron = np.einsum("lpij,lpkm->lpikjm", z[:, a], z[:, b]).reshape(len(z), len(a), 16, 16)
-        xy = (_combine(trig[:, -2], ryy) @ _combine(trig[:, -2], rxx))[:, None] @ kron
-        x = _combine(trig[:, -1], rx)[:, None] @ z[:, list(spec.x_qubits)]
+        singles = np.concatenate([_combine(trig[:, k:-2], rz) * z_masks, eyes], 1)  # D RZ, I
+        singles[:, x_qubits] = _combine(trig[:, -1], rx)[:, None] @ singles[:, x_qubits]
+        base = np.concatenate([_combine(trig[:, :k], rzz), units], 1).reshape(p, -1, 4, 64)
+        half = (singles[:, sides[0]] @ base).reshape(p, -1, 4, 4, 16)  # (B x I) G, then (I x B')
+        blocks = (singles[:, sides[1], None] @ half).reshape(p, -1, 16, 16)
+        if xy_steps:
+            mix = _combine(trig[:, -2], ryy) @ _combine(trig[:, -2], rxx)
+            blocks[:, xy_steps] = mix[:, None] @ blocks[:, xy_steps]
         state = start.copy()
-        pauli = state.pauli.reshape([4] * spec.n)
-        for blocks in zip(_combine(trig[:, :k], rzz), xy, x):
-            for block, axes in zip([*blocks[0], *blocks[1], *blocks[2]], targets):
-                pauli = _contract(pauli, block, axes)
-        state.pauli = pauli.reshape(-1)
+        pauli = state.pauli
+        for block, perm in zip([m for layer in zip(blocks, singles[:, x_alone]) for group in layer
+                                for m in group], plan):
+            pauli = block @ pauli.reshape(shape).transpose(perm).reshape(len(block), -1)
+        state.pauli = pauli.reshape(shape).transpose(restore).reshape(-1)
         return state
 
+    layers.plan = tuple(plan)
     return layers
 
 

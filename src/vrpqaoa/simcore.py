@@ -6,8 +6,8 @@ rest of the package.  Every gate is defined once, in ``GATES``.  A gate on
 a statevector reshapes it into a rank-n tensor and contracts the small gate
 matrix against the target axes, which is cheap for the desk-scale systems
 handled here.  A density matrix is held as its 4^n real Pauli coefficients,
-so a gate is its real Pauli transfer matrix (PTM) and depolarization a
-coefficient mask.
+so a gate is its real Pauli transfer matrix (PTM), depolarization a
+coefficient mask and the read-out a matmul with a cached 2^n x 2^n matrix.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import CostOperator, check_real
+from .encode import CostOperator, check_real, check_whole
 from .instance import index_bitstring
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -107,6 +107,10 @@ class StateVector:
         amps = np.zeros(1 << n, dtype=complex)
         amp = 1.0 / math.sqrt(len(bitstrings))
         for bits in bitstrings:
+            if len(bits) != n or bits.strip("01"):
+                raise ValueError(f"support bitstring {bits!r} is not {n} binary digits")
+            if amps[int(bits, 2)]:
+                raise ValueError(f"support bitstring {bits!r} is repeated")
             amps[int(bits, 2)] = amp
         return cls(n, amps)
 
@@ -120,8 +124,17 @@ class StateVector:
         return StateVector(self.n, self.amplitudes.copy())
 
 
+@lru_cache(maxsize=64)
+def _kron_power(n: int, *entries: float) -> np.ndarray:
+    """The n-fold Kronecker power of the 2x2 matrix with the given row-major
+    entries: one qubit-wise map on a 2^n vector as a single matmul (shared, read-only)."""
+    matrix = reduce(np.kron, [np.reshape(entries, (2, 2))] * n, np.ones((1, 1)))
+    matrix.flags.writeable = False
+    return matrix
+
+
 def _per_qubit(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """The same one-qubit map on every axis."""
+    """The same one-qubit map on every axis (converting rho to and from Pauli form)."""
     for q in range(tensor.ndim):
         tensor = _contract(tensor, mat, (q,))
     return tensor
@@ -158,7 +171,7 @@ class DensityMatrix:
     def probabilities(self) -> np.ndarray:
         """Walsh-Hadamard transform of the I/Z coefficients (digits 0 and 3)."""
         z_type = self.pauli.reshape([4] * self.n)[(slice(None, None, 3),) * self.n]
-        return _per_qubit(z_type, np.array([[1.0, 1.0], [1.0, -1.0]]) / 2.0).reshape(-1)
+        return _kron_power(self.n, 0.5, 0.5, 0.5, -0.5) @ z_type.reshape(-1)
 
     def trace(self) -> float:
         return float(self.pauli[0])
@@ -200,6 +213,13 @@ def _check_targets(n: int, qubits: Sequence[int]) -> None:
         raise ValueError("gate targets must be distinct qubits")
 
 
+def _check_rate(name: str, value: float, top: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a real number in [0, top]."""
+    check_real(name, value)
+    if not 0.0 <= value <= top:
+        raise ValueError(f"{name} must lie in [0, {top:g}], got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing gate noise plus a symmetric readout confusion matrix.
@@ -216,10 +236,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name, top in (("p1", 1.0), ("p2", 1.0), ("p01", 0.5), ("p10", 0.5)):
-            value = getattr(self, name)
-            check_real(name, value)
-            if not 0.0 <= value <= top:
-                raise ValueError(f"{name} must lie in [0, {top:g}], got {value}")
+            _check_rate(name, getattr(self, name), top)
 
     @property
     def r1_bar(self) -> float:
@@ -328,7 +345,7 @@ def measure_distribution(state: State) -> np.ndarray:
     probs = state.probabilities()
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
-    if total <= 0:
+    if not total > 0:
         raise ValueError("state has no probability mass")
     return probs / total
 
@@ -341,8 +358,9 @@ def apply_readout_confusion(probs: np.ndarray, p01: float, p10: float) -> np.nda
         raise ValueError("probability vector length must be a power of two")
     if p01 == 0.0 and p10 == 0.0:
         return probs.copy()
-    confusion = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-    out = _per_qubit(probs.reshape([2] * n), confusion).reshape(-1)
+    _check_rate("p01", p01, 0.5)
+    _check_rate("p10", p10, 0.5)
+    out = _kron_power(n, 1.0 - p01, p10, p01, 1.0 - p10) @ probs
     return out / out.sum()
 
 
@@ -361,8 +379,7 @@ class ShotHistogram:
 
 def sample(probs: np.ndarray, shots: int, rng: int | np.random.Generator) -> ShotHistogram:
     """Multinomial draw from an exact distribution; deterministic per seed."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    check_whole("shots", shots, 1)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     probs = np.asarray(probs, dtype=float)
     probs = probs / probs.sum()

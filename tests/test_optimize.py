@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import FEASIBLE, all_bitstrings, penalty_sum_value
-from vrpqaoa.ansatz import AnsatzSpec, ConstraintComponent, ParameterPoint, evolve, init_circuit
+from vrpqaoa.ansatz import (
+    AnsatzSpec,
+    ConstraintComponent,
+    ParameterPoint,
+    compile_noisy_layers,
+    evolve,
+    init_circuit,
+)
+from vrpqaoa.cli import build_problem
+from vrpqaoa.instance import VrpInstance
 from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
@@ -17,7 +26,13 @@ from vrpqaoa.optimize import (
     objective,
     write_trace_csv,
 )
-from vrpqaoa.simcore import NoiseModel, apply_readout_confusion, measure_distribution, sample
+from vrpqaoa.simcore import (
+    NoiseModel,
+    StateVector,
+    apply_readout_confusion,
+    measure_distribution,
+    sample,
+)
 
 PAPER_NOISE = NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
 
@@ -192,6 +207,23 @@ class TestObjective:
             (lambda toy: NoiseModel(p01=0.6), r"p01 must lie in \[0, 0.5\], got 0.6"),
             (lambda toy: AnsatzSpec(6, 1.5), "depth must be a whole number, got 1.5"),
             (lambda toy: AnsatzSpec(6, True), "depth must be a whole number, got True"),
+            (
+                lambda toy: measure_distribution(StateVector(1, np.array([math.nan, 0.0]))),
+                "state has no probability mass",
+            ),
+            (
+                lambda toy: apply_readout_confusion(np.array([1.0, 0.0]), 0.7, 0.0),
+                r"p01 must lie in \[0, 0.5\], got 0.7",
+            ),
+            (
+                lambda toy: apply_readout_confusion(np.array([1.0, 0.0]), math.nan, 0.0),
+                "p01 must be a finite real number, got nan",
+            ),
+            (lambda toy: StateVector.from_support(2, ["01", "01"]), "bitstring '01' is repeated"),
+            (lambda toy: StateVector.from_support(2, ["011"]), "'011' is not 2 binary digits"),
+            (lambda toy: StateVector.from_support(2, ["1"]), "'1' is not 2 binary digits"),
+            (lambda toy: sample([0.5, 0.5], 10.5, 0), "shots must be a whole number, got 10.5"),
+            (lambda toy: sample([0.5, 0.5], True, 0), "shots must be a whole number, got True"),
         ],
     )
     def test_bad_input_is_rejected_naming_the_field(self, toy, build, message):
@@ -266,6 +298,70 @@ class TestObjective:
             scaled_value = objective(pt, spec, cost_scaled, ObjectiveKind.exact(), cfg)
             base_value = objective(compensated, spec, toy.cost, ObjectiveKind.exact(), cfg)
             assert scaled_value == pytest.approx(base_value / factor, abs=1e-12)
+
+
+def _without_couplings(problem, pairs):
+    """The problem with the given Ising couplings set to zero (no gate, no channel)."""
+    ising = problem.cost.ising
+    couplings = {**ising.couplings, **dict.fromkeys(pairs, 0.0)}
+    cost = replace(problem.cost, ising=replace(ising, couplings=couplings))
+    return replace(problem, cost=cost)
+
+
+class TestNoisyFold:
+    """The compiled noisy evaluator folds each mixer block into the last RZZ on
+    its support.  Per layer on toy3 (RZZ ring 01, 05, 13, 23, 24, 45): standard
+    folds every X block (6 steps); constraint-aware folds X 0 and 1 and the XY
+    pair (4, 5), and keeps the pair (2, 3), last touched by RZZ 24 and 23, apart
+    (7 steps).  On the 1-vehicle instance the pairs (2, 4) and (0, 1) stay apart
+    and X 3 and 5 fold (8 steps); with RZZ 05 and 45 zeroed, qubit 5 has no RZZ,
+    so its X block stays apart while the pair (2, 4) folds into RZZ 24."""
+
+    ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles": 1}
+
+    def problems(self, toy):
+        one_vehicle = build_problem(VrpInstance.from_dict(self.ONE_VEHICLE))
+        return {
+            "toy3": toy,
+            "one_vehicle": one_vehicle,
+            "one_vehicle_bare_q5": _without_couplings(one_vehicle, [(0, 5), (4, 5)]),
+        }
+
+    @pytest.mark.parametrize(
+        "instance,steps",
+        [("toy3", (6, 7)), ("one_vehicle", (6, 8)), ("one_vehicle_bare_q5", (5, 6))],
+    )
+    @pytest.mark.parametrize(
+        "noise",
+        [PAPER_NOISE, NoiseModel(p1=0.05, p2=0.05, p01=0.02, p10=0.03)],
+        ids=["paper", "high"],
+    )
+    def test_compiled_evaluator_equals_gate_engine(self, toy, instance, steps, noise):
+        problem = self.problems(toy)[instance]
+        rng = np.random.default_rng(13)
+        specs = (
+            AnsatzSpec.standard(6, 4),
+            AnsatzSpec.constraint_aware(problem.constraints, 4, 0.7),
+        )
+        for spec, per_layer in zip(specs, steps):
+            layers = compile_noisy_layers(spec, problem.cost.ising, problem.cost.scale, noise, True)
+            assert len(layers.plan) == 4 * per_layer
+            evaluator = compile_evaluator(spec, problem.cost, ObjectiveKind.noisy(noise))
+            for _ in range(5):
+                point = ParameterPoint.random(4, rng)
+                state = evolve(spec, problem.cost.ising, point, engine="gate",
+                               scale=problem.cost.scale, noise=noise)
+                gate = apply_readout_confusion(measure_distribution(state), noise.p01, noise.p10)
+                assert np.abs(evaluator(point.as_vector()) - gate).max() <= 1e-12
+
+    def test_toy3_contraction_count_at_depth_four(self, toy):
+        # 60 (standard) and 52 (constraint-aware) before the fold and the dense read-out
+        for spec, count in (
+            (AnsatzSpec.standard(6, 4), 24),
+            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 28),
+        ):
+            layers = compile_noisy_layers(spec, toy.cost.ising, toy.cost.scale, PAPER_NOISE, True)
+            assert len(layers.plan) == count
 
 
 class TestMinimize:
