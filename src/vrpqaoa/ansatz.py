@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encode import CostOperator, IsingCoefficients, check_real, check_whole
-from .instance import EQUAL, ConstraintSet, _bit_column, index_bitstring
+from .encode import CostOperator, IsingCoefficients
+from .instance import (EQUAL, ConstraintSet, _bit_column, check_positive, check_real,
+                       check_whole, index_bitstring)
 from .simcore import (
     SQRT2_INV,
     DensityMatrix,
@@ -129,14 +130,14 @@ class AnsatzSpec:
     components: tuple[ConstraintComponent, ...] = ()
 
     def __post_init__(self) -> None:
+        check_whole("n", self.n, 1)
         check_whole("depth", self.depth, 0)
+        check_real("lam", self.lam, 0)
         paired = [q for pair in self.xy_pairs for q in pair]
         if len(set(paired)) != len(paired):
             raise ValueError("xy pairs must be pairwise disjoint")
         if not all(0 <= q < self.n for q in paired):
             raise ValueError(f"xy_pairs {self.xy_pairs} name a qubit outside 0..{self.n - 1}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
     def check_cost_size(self, n: int) -> None:
         """Raise a ValueError naming both qubit counts unless a cost on ``n`` qubits fits."""
@@ -448,13 +449,12 @@ def evolve(
     if params.depth != spec.depth:
         raise ValueError(f"expected {spec.depth} layers of parameters, got {params.depth}")
     spec.check_cost_size(cost.n)
+    check_positive("scale", scale)
     if engine == "exact":
         if not isinstance(cost, CostOperator):
             raise TypeError("exact engine needs a CostOperator diagonal")
         if noise is not None:
             raise ValueError("the exact engine is noiseless; use engine='gate'")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         return exact_layers(spec, cost, scale, params.gamma, params.beta)
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")

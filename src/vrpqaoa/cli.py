@@ -28,7 +28,6 @@ from .encode import (
     CONVENTION_A,
     CONVENTION_B,
     QuboProblem,
-    check_positive,
     default_energy_scale,
     ising_as_dict,
     penalize,
@@ -43,6 +42,9 @@ from .instance import (
     VrpInstance,
     brute_force_optimum,
     build_constraints,
+    check_positive,
+    check_real,
+    check_whole,
 )
 from .metrics import RunMetrics, aggregate, run_metrics
 from .optimize import (
@@ -249,23 +251,17 @@ class ExperimentConfig:
             raise ValueError("constraint-aware sweeps need at least one lambda")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed {self.master_seed} is negative; it must be >= 0")
+        check_whole("master_seed", self.master_seed, 0)
         for i, seed in enumerate(self.seeds):
-            if seed < 0:
-                raise ValueError(f"seed {seed} is negative; seeds must be >= 0")
+            check_whole("seed", seed, 0)
             if seed in self.seeds[:i]:
                 raise ValueError(f"seed {seed} is repeated")
-        if self.depth < 1:
-            raise ValueError(f"depth (--p) must be >= 1, got {self.depth}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_whole("depth (--p)", self.depth, 1)
+        if self.workers is not None:
+            check_whole("workers", self.workers, 1)
         keys = set()
         for lam in self.lambdas:
-            if not math.isfinite(lam):
-                raise ValueError(f"lambda {lam} is not finite")
-            if lam < 0:
-                raise ValueError(f"lambda {lam:g} is negative; lambdas must be >= 0")
+            check_real("lambda", lam, 0)  # AnsatzSpec's rule, checked before any output is made
             # derive_run_seed keys runs by round(lambda * 1000), the run files by label
             key, label = round(lam * 1000), _cell_label(CONSTRAINT_AWARE, lam)
             if not math.isclose(lam * 1000, key, rel_tol=0.0, abs_tol=1e-6):
@@ -537,8 +533,7 @@ def build_experiment_config(file_cfg: dict, args: argparse.Namespace) -> Experim
     if instance is None:
         raise ValueError("no instance file given (config 'instance' or --instance)")
     if type(merged.get("seeds")) is int:  # a seed count
-        if merged["seeds"] < 1:
-            raise ValueError(f"seed count {merged['seeds']} must be >= 1")
+        check_whole("seed count", merged["seeds"], 1)
         merged["seeds"] = tuple(range(merged["seeds"]))
     merged["noise"] = _noise_from_value(merged.get("noise"))
     merged["optimizer"] = OptimizerConfig(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,30 +30,11 @@ from .instance import (
     VrpInstance,
     _as_values,
     _bit_column,
+    check_positive,
 )
 
 CONVENTION_A = "A"
 CONVENTION_B = "B"
-
-
-def check_positive(name: str, value: float) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
-def check_whole(name: str, value, minimum: int) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-
-
-def check_real(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is a finite non-bool real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

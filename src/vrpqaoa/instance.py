@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -35,6 +36,29 @@ TIE_TOL = 1e-9
 
 class InstanceTooLargeError(ValueError):
     """Instance exceeds the supported size."""
+
+
+def check_whole(name: str, value, minimum: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value, minimum: float | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite non-bool real
+    number, and at least ``minimum`` if one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def index_bitstring(index: int, n: int) -> str:
@@ -75,14 +99,10 @@ class VrpInstance:
             raise ValueError("distance matrix must be square")
         for i, row in enumerate(self.distances):
             for j, w in enumerate(row):
-                if not (math.isfinite(w) and w >= 0):
-                    raise ValueError(
-                        f"distance [{i}][{j}] is {w}; distances must be finite and nonnegative"
-                    )
+                check_real(f"distance [{i}][{j}]", w, 0)
         if any(self.distances[i][i] != 0 for i in range(m)):
             raise ValueError("diagonal of the distance matrix must be zero")
-        if self.vehicles < 1:
-            raise ValueError("vehicle count must be >= 1")
+        check_whole("vehicles", self.vehicles, 1)
         if self.vehicles > m - 1:
             raise ValueError(
                 f"{self.vehicles} vehicles exceed the {m - 1} customers; "
@@ -119,13 +139,9 @@ class VrpInstance:
             raise ValueError(f"distances must be a list of rows of numbers, got {rows!r}")
         distances = tuple(tuple(float(w) for w in row) for row in rows)
         vehicles = payload["vehicles"]
-        if (
-            isinstance(vehicles, bool)
-            or not isinstance(vehicles, (int, float))
-            or not float(vehicles).is_integer()
-        ):
-            raise ValueError(f"vehicles must be a whole number, got {vehicles!r}")
-        return cls(distances=distances, vehicles=int(vehicles))
+        if isinstance(vehicles, float) and vehicles.is_integer():  # JSON's 2.0
+            vehicles = int(vehicles)
+        return cls(distances=distances, vehicles=vehicles)
 
     def to_dict(self) -> dict:
         return {"distances": [list(row) for row in self.distances], "vehicles": self.vehicles}

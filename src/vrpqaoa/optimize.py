@@ -25,7 +25,8 @@ from .ansatz import (
     evolve,
     exact_layers,
 )
-from .encode import CompiledCost, check_whole
+from .encode import CompiledCost
+from .instance import check_whole
 from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
 
 #: Evaluation regimes: exact statevector (I), finite shots (II) and noisy
@@ -65,6 +66,8 @@ class ObjectiveKind:
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; regimes are {', '.join(REGIMES)}")
+        if not isinstance(self.noise, (NoiseModel, type(None))):
+            raise ValueError(f"noise must be a NoiseModel or None, got {self.noise!r}")
         if self.regime == "III" and self.noise is None:
             raise ValueError("regime III needs a noise model")
         if self.regime != "III" and self.noise not in (None, NoiseModel()):
@@ -90,8 +93,8 @@ class ObjectiveKind:
 def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind) -> Evaluator:
     """``probs(vec)``: the measurement distribution at Nelder-Mead's raw vector
     (the gammas, then the betas), compiled once per run.  It runs the exact
-    engine's loop, or under gate noise the compiled noisy layer; the engine
-    choice of :func:`final_distribution` is its reference."""
+    engine's loop, or under gate noise the compiled noisy layer, whose
+    reference is :func:`final_distribution`'s gate engine."""
     spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
     if noise is not None and noise.has_gate_noise:
@@ -117,26 +120,15 @@ def final_distribution(
 ) -> np.ndarray:
     """Measurement distribution at the given angles.
 
-    Gate noise needs the density-matrix gate engine; every other case runs
-    the exact engine.  In the noisy regime it includes the noise model's
-    readout confusion.
+    Under gate noise it runs the density-matrix gate engine, the reference of
+    the compiled noisy layer, then the readout confusion; every other case is
+    :func:`compile_evaluator`'s.
     """
-    if kind.regime == "III" and kind.noise.has_gate_noise:
-        state = evolve(
-            spec,
-            cost.ising,
-            params,
-            engine="gate",
-            scale=cost.scale,
-            noise=kind.noise,
-            noisy_init=kind.noisy_init,
-        )
-    else:
-        state = evolve(spec, cost.phase_diagonal, params, engine="exact", scale=cost.scale)
-    probs = measure_distribution(state)
-    if kind.regime == "III":
-        return apply_readout_confusion(probs, kind.noise.p01, kind.noise.p10)
-    return probs
+    if kind.noise is None or not kind.noise.has_gate_noise:
+        return compile_evaluator(spec, cost, kind)(params.as_vector())
+    state = evolve(spec, cost.ising, params, engine="gate", scale=cost.scale, noise=kind.noise,
+                   noisy_init=kind.noisy_init)
+    return apply_readout_confusion(measure_distribution(state), kind.noise.p01, kind.noise.p10)
 
 
 def objective(

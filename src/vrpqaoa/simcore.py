@@ -19,8 +19,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import CostOperator, check_real, check_whole
-from .instance import index_bitstring
+from .encode import CostOperator
+from .instance import check_positive, check_real, check_whole, index_bitstring
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -275,9 +275,7 @@ def depolarize(state: DensityMatrix, qubits: Sequence[int], lam: float) -> Densi
     k = len(qubits)
     if k not in (1, 2):
         raise ValueError("depolarize expects 1 or 2 target qubits")
-    limit = 4.0**k / (4.0**k - 1.0)
-    if not 0.0 <= lam <= limit:
-        raise ValueError(f"channel parameter {lam} outside [0, {limit}]")
+    _check_rate("channel parameter", lam, 4.0**k / (4.0**k - 1.0))
     _check_targets(state.n, qubits)
     state.pauli *= _depolarizing_mask(state.n, tuple(qubits), lam)
     return state
@@ -330,8 +328,7 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
 
 def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: float) -> State:
     """Multiply each basis amplitude by exp(-i*gamma*C(x)/scale)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    check_positive("scale", scale)
     if diag.n != state.n:
         raise ValueError("cost diagonal does not match the state size")
     if not isinstance(state, StateVector):

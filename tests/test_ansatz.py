@@ -337,7 +337,7 @@ class TestEvolve:
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.1,), (0.2,))
         for scale in (0.0, -1.0):
-            with pytest.raises(ValueError, match="scale must be positive"):
+            with pytest.raises(ValueError, match=f"scale must be finite and > 0, got {scale}"):
                 evolve(spec, toy.cost.phase_diagonal, params, scale=scale)
         wrong = CostOperator(n=5, diagonal=np.zeros(32))
         with pytest.raises(ValueError, match="cost diagonal does not match the state size"):

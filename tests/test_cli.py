@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -132,6 +133,21 @@ class TestExperimentConfig:
     def test_standard_only_ignores_lambdas(self, tmp_path):
         cfg = tiny_config(tmp_path, ansatz="standard")
         assert cfg.cells() == [("standard", None)]
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"depth": 2.5}, "depth (--p) must be a whole number, got 2.5"),
+            ({"depth": True}, "depth (--p) must be a whole number, got True"),
+            ({"seeds": (1.5,)}, "seed must be a whole number, got 1.5"),
+            ({"workers": 2.5}, "workers must be a whole number, got 2.5"),
+            ({"master_seed": 0.5}, "master_seed must be a whole number, got 0.5"),
+            ({"regime": "III", "noise": "paper"}, "noise must be a NoiseModel or None, got 'paper'"),
+        ],
+    )
+    def test_direct_construction_is_checked_naming_the_field(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(instance_path=toy_instance_path(), **fields)
 
 
 class TestRunExperiment:
@@ -314,20 +330,20 @@ class TestCommandLine:
         "flags,message",
         [
             (["--p", "0"], "depth (--p) must be >= 1, got 0"),
-            (["--lambda", "-0.5"], "lambda -0.5 is negative"),
+            (["--lambda", "-0.5"], "lambda must be >= 0, got -0.5"),
             (["--workers", "0"], "workers must be >= 1, got 0"),
             (["--lambda", "0.7,0.7004"], "lambda 0.7004 is not a multiple of 0.001"),
             (["--lambda", "0.7,0.7"], "lambda 0.7 is repeated"),
-            (["--lambda", "inf"], "lambda inf is not finite"),
-            (["--lambda", "nan"], "lambda nan is not finite"),
+            (["--lambda", "inf"], "lambda must be a finite real number, got inf"),
+            (["--lambda", "nan"], "lambda must be a finite real number, got nan"),
             (["--seeds", "1,1"], "seed 1 is repeated"),
-            (["--seeds=-1,2"], "seed -1 is negative; seeds must be >= 0"),
+            (["--seeds=-1,2"], "seed must be >= 0, got -1"),
             # distinct seed keys, one run-file name
             (["--lambda", "1000000000.001,1000000000.002"], "lambda 1000000000.002 is repeated"),
             (["--noise-preset", "paper"], "regime I is noiseless; noise applies to regime III only"),
             (["--regime", "II", "--noise-preset", "paper"], "regime II is noiseless"),
-            (["--seeds=-2"], "seed count -2 must be >= 1"),
-            (["--seeds", "0"], "seed count 0 must be >= 1"),
+            (["--seeds=-2"], "seed count must be >= 1, got -2"),
+            (["--seeds", "0"], "seed count must be >= 1, got 0"),
         ],
     )
     def test_run_rejects_bad_sweep_config(self, tmp_path, capsys, flags, message):
@@ -349,10 +365,10 @@ class TestCommandLine:
             ([{"depth": 1}], "the config must be a JSON object"),
             ({"regime": "IV"}, "unknown regime 'IV'"),
             ({"seeds": [1, 1]}, "seed 1 is repeated"),
-            ({"seeds": [-1, 2]}, "seed -1 is negative; seeds must be >= 0"),
-            ({"master_seed": -5}, "master_seed -5 is negative; it must be >= 0"),
+            ({"seeds": [-1, 2]}, "seed must be >= 0, got -1"),
+            ({"master_seed": -5}, "master_seed must be >= 0, got -5"),
             ({"regime": "II", "noise": {"p01": 0.01}}, "regime II is noiseless"),
-            ({"seeds": -2}, "seed count -2 must be >= 1"),
+            ({"seeds": -2}, "seed count must be >= 1, got -2"),
         ],
     )
     def test_run_rejects_bad_config_file(self, tmp_path, capsys, config, message):
@@ -411,7 +427,7 @@ class TestCommandLine:
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(payload))
         assert main(["solve", str(bad)]) == 2
-        assert "distance [1][2] is nan; distances must be finite" in capsys.readouterr().err
+        assert "distance [1][2] must be a finite real number, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload,message", MALFORMED_INSTANCES)
     def test_solve_rejects_malformed_instance(self, tmp_path, capsys, payload, message):

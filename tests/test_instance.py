@@ -42,7 +42,7 @@ class TestInstanceValidation:
             VrpInstance(distances=((0.0, 1.0), (1.0, 0.0, 2.0)), vehicles=1)
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError, match=r"distance \[0\]\[1\] is -1.0"):
+        with pytest.raises(ValueError, match=r"distance \[0\]\[1\] must be >= 0, got -1.0"):
             VrpInstance(distances=((0.0, -1.0), (1.0, 0.0)), vehicles=1)
 
     def test_rejects_nonzero_diagonal(self):
@@ -56,7 +56,7 @@ class TestInstanceValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_distance(self, bad):
         distances = ((0.0, 4.7, 1.0), (1.0, 0.0, 1.0), (1.0, bad, 0.0))
-        message = rf"distance \[2\]\[1\] is {bad}; distances must be finite and nonnegative"
+        message = rf"distance \[2\]\[1\] must be a finite real number, got {bad}"
         with pytest.raises(ValueError, match=message):
             VrpInstance(distances=distances, vehicles=1)
 

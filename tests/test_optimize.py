@@ -27,9 +27,11 @@ from vrpqaoa.optimize import (
     write_trace_csv,
 )
 from vrpqaoa.simcore import (
+    DensityMatrix,
     NoiseModel,
     StateVector,
     apply_readout_confusion,
+    depolarize,
     measure_distribution,
     sample,
 )
@@ -180,8 +182,47 @@ class TestObjective:
                 "the ansatz has 5 qubits but the cost has 6",
             ),
             (lambda toy: AnsatzSpec(6, 1, 0.5, ((0, 9),)), r"xy_pairs \(\(0, 9\),\) name a qubit"),
-            (lambda toy: AnsatzSpec(6, 1, math.nan), "lam must be finite and >= 0, got nan"),
-            (lambda toy: AnsatzSpec(6, 1, -0.5), "lam must be finite and >= 0, got -0.5"),
+            (lambda toy: AnsatzSpec(6, 1, math.nan), "lam must be a finite real number, got nan"),
+            (lambda toy: AnsatzSpec(6, 1, -0.5), "lam must be >= 0, got -0.5"),
+            (lambda toy: AnsatzSpec(6, 1, True), "lam must be a finite real number, got True"),
+            (lambda toy: AnsatzSpec(6, 1, "0.5"), "lam must be a finite real number, got '0.5'"),
+            (lambda toy: AnsatzSpec(6.0, 1), "n must be a whole number, got 6.0"),
+            (lambda toy: AnsatzSpec(True, 1), "n must be a whole number, got True"),
+            (lambda toy: AnsatzSpec(0, 1), "n must be >= 1, got 0"),
+            (
+                lambda toy: VrpInstance(toy.instance.distances, 1.5),
+                "vehicles must be a whole number, got 1.5",
+            ),
+            (
+                lambda toy: VrpInstance(toy.instance.distances, True),
+                "vehicles must be a whole number, got True",
+            ),
+            (
+                lambda toy: VrpInstance(((0.0, "4.7"), (4.7, 0.0)), 1),
+                r"distance \[0\]\[1\] must be a finite real number, got '4.7'",
+            ),
+            (
+                lambda toy: evolve(
+                    AnsatzSpec.standard(6, 1), toy.cost.phase_diagonal,
+                    ParameterPoint((0.1,), (0.2,)), engine="exact", scale=math.nan,
+                ),
+                "scale must be finite and > 0, got nan",
+            ),
+            (
+                lambda toy: evolve(
+                    AnsatzSpec.standard(6, 1), toy.cost.ising, ParameterPoint((0.1,), (0.2,)),
+                    engine="gate", scale=math.nan,
+                ),
+                "scale must be finite and > 0, got nan",
+            ),
+            (
+                lambda toy: depolarize(DensityMatrix(1), (0,), True),
+                "channel parameter must be a finite real number, got True",
+            ),
+            (
+                lambda toy: ObjectiveKind("III", "paper"),
+                "noise must be a NoiseModel or None, got 'paper'",
+            ),
             (lambda toy: OptimizerConfig(max_evals=True), "max_evals must be a whole number"),
             (lambda toy: OptimizerConfig(restarts=2.5), "restarts must be a whole number"),
             (
@@ -256,12 +297,13 @@ class TestObjective:
         probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
         assert np.array_equal(probs, measure_distribution(state))
 
+    # without gate noise the distribution is compile_evaluator's, which calls no evolve
     @pytest.mark.parametrize(
-        "noise,engine",
-        [(NoiseModel(), "exact"), (NoiseModel(p01=0.02, p10=0.01), "exact"), (PAPER_NOISE, "gate")],
+        "noise,engines_called",
+        [(NoiseModel(), []), (NoiseModel(p01=0.02, p10=0.01), []), (PAPER_NOISE, ["gate"])],
     )
     def test_regime_three_takes_the_gate_engine_only_for_gate_noise(
-        self, toy, monkeypatch, noise, engine
+        self, toy, monkeypatch, noise, engines_called
     ):
         from vrpqaoa import optimize
 
@@ -275,7 +317,7 @@ class TestObjective:
         spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
         params = ParameterPoint((0.4, 0.9), (0.3, 0.6))
         probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
-        assert engines == [engine]
+        assert engines == engines_called
         state = evolve(spec, toy.cost.ising, params, engine="gate", scale=toy.cost.scale,
                        noise=noise)
         gate = apply_readout_confusion(measure_distribution(state), noise.p01, noise.p10)
