@@ -245,6 +245,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         ObjectiveKind(self.regime, self.noise)  # raises on a bad regime or a misplaced noise model
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise ValueError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
+        for name, value in (("lambdas", self.lambdas), ("seeds", self.seeds)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a tuple or list, got {value!r}")
         if self.ansatz not in (STANDARD, CONSTRAINT_AWARE, "both"):
             raise ValueError("ansatz must be standard, constraint_aware, or both")
         if self.ansatz != STANDARD and not self.lambdas:

@@ -56,7 +56,10 @@ def check_real(name: str, value, minimum: float | None = None) -> None:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite non-bool real
+    number > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 

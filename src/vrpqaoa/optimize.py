@@ -9,7 +9,6 @@ comparable across regimes.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,9 +20,9 @@ from .ansatz import (
     BETA_BOUNDS,
     GAMMA_BOUNDS,
     ParameterPoint,
+    compile_exact_layers,
     compile_noisy_layers,
     evolve,
-    exact_layers,
 )
 from .encode import CompiledCost
 from .instance import check_whole
@@ -100,12 +99,12 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
     if noise is not None and noise.has_gate_noise:
         layers = compile_noisy_layers(spec, cost.ising, cost.scale, noise, kind.noisy_init)
     else:
-        layers = functools.partial(exact_layers, spec, cost.phase_diagonal, cost.scale)
+        layers = compile_exact_layers(spec, cost.phase_diagonal, cost.scale)
 
     def probs(vec: Sequence[float]) -> np.ndarray:
         if len(vec) != 2 * p:
             raise ValueError(f"expected {2 * p} angles, got {len(vec)}")
-        angles = [float(v) for v in vec]
+        angles = np.asarray(vec, dtype=float)
         out = measure_distribution(layers(angles[:p], angles[p:]))
         return out if noise is None else apply_readout_confusion(out, noise.p01, noise.p10)
 
@@ -149,11 +148,12 @@ def objective(
         return float(probs @ diag) / cost.scale
     if rng is None:
         raise ValueError("shot-based objectives need a random generator")
-    batch_means = []
-    for _ in range(cfg.batches):
-        counts = rng.multinomial(cfg.shots_objective, probs)
-        batch_means.append(float(counts @ diag) / cfg.shots_objective)
-    return float(np.mean(batch_means)) / cost.scale
+    # one draw of every batch, the same as one call per batch; the batch means
+    # are summed left to right, as np.mean does for a few values
+    total = 0.0
+    for counts in rng.multinomial(cfg.shots_objective, probs, size=cfg.batches):
+        total += float(counts @ diag) / cfg.shots_objective
+    return total / cfg.batches / cost.scale
 
 
 class _BudgetSpent(Exception):
@@ -176,7 +176,11 @@ def nelder_mead(
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+
+    def clamp(x: np.ndarray) -> np.ndarray:  # np.clip's arithmetic without its wrapper
+        return np.minimum(np.maximum(x, lower), upper)
+
+    x0 = clamp(np.asarray(x0, dtype=float))
     dim = len(x0)
     history: list[float] = []
     best_x, best_f = x0.copy(), math.inf
@@ -195,10 +199,10 @@ def nelder_mead(
     for i in range(dim):
         vertex = x0.copy()
         vertex[i] = vertex[i] + NM_STEP if vertex[i] + NM_STEP <= upper[i] else vertex[i] - NM_STEP
-        simplex.append(np.clip(vertex, lower, upper))
+        simplex.append(clamp(vertex))
 
     def along(coef: float) -> np.ndarray:  # on the line from the worst vertex via the centroid
-        return np.clip(centroid + coef * (centroid - simplex[-1]), lower, upper)
+        return clamp(centroid + coef * (centroid - simplex[-1]))
 
     alpha, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
     try:
@@ -211,7 +215,7 @@ def nelder_mead(
                 float(np.max(np.abs(v - simplex[0]))) for v in simplex
             ) < NM_SPREAD_TOL:
                 break
-            centroid = np.mean(simplex[:-1], axis=0)
+            centroid = np.add.reduce(simplex[:-1], axis=0) / dim
             reflected = along(alpha)
             fr = evaluate(reflected)
             if fr < values[0]:
@@ -228,9 +232,7 @@ def nelder_mead(
                     simplex[-1], values[-1] = contracted, fc
                 else:
                     for i in range(1, len(simplex)):
-                        simplex[i] = np.clip(
-                            simplex[0] + sigma * (simplex[i] - simplex[0]), lower, upper
-                        )
+                        simplex[i] = clamp(simplex[0] + sigma * (simplex[i] - simplex[0]))
                         values[i] = evaluate(simplex[i])
     except _BudgetSpent:
         pass

@@ -169,9 +169,10 @@ class DensityMatrix:
         return pairs.reshape([2] * (2 * n)).transpose(order).reshape(1 << n, 1 << n)
 
     def probabilities(self) -> np.ndarray:
-        """Walsh-Hadamard transform of the I/Z coefficients (digits 0 and 3)."""
+        """Walsh-Hadamard transform of the I/Z coefficients (digits 0 and 3), clipped
+        at 0: rounding can leave a zero probability slightly negative."""
         z_type = self.pauli.reshape([4] * self.n)[(slice(None, None, 3),) * self.n]
-        return _kron_power(self.n, 0.5, 0.5, 0.5, -0.5) @ z_type.reshape(-1)
+        return np.clip(_kron_power(self.n, 0.5, 0.5, 0.5, -0.5) @ z_type.reshape(-1), 0.0, None)
 
     def trace(self) -> float:
         return float(self.pauli[0])
@@ -340,7 +341,6 @@ def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: 
 def measure_distribution(state: State) -> np.ndarray:
     """Exact computational-basis probabilities of the state."""
     probs = state.probabilities()
-    probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not total > 0:
         raise ValueError("state has no probability mass")

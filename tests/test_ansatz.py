@@ -11,12 +11,14 @@ from vrpqaoa.ansatz import (
     ParameterPoint,
     apply_mixer_layer,
     circuit_gates,
+    compile_exact_layers,
     derive_constraint_groups,
     evolve,
     init_circuit,
     mixer_circuit,
     prepare_initial_state,
 )
+from vrpqaoa.cli import build_problem
 from vrpqaoa.encode import CostOperator
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance, build_constraints
 from vrpqaoa.simcore import (
@@ -29,15 +31,21 @@ from vrpqaoa.simcore import (
 TOY_SUPPORT = ("000101", "011001", "100110", "111010")
 
 
+GEN1 = VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
+
+
 @pytest.fixture(scope="module")
 def gen1():
     """Constraints of the 1-vehicle instance ``perfbench.sweep.generate_instance(1)``,
     whose XY pairs are not adjacent qubits."""
-    cs = build_constraints(
-        VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
-    )
+    cs = build_constraints(GEN1)
     assert derive_constraint_groups(cs).xy_pairs == ((2, 4), (0, 1))
     return cs
+
+
+@pytest.fixture(scope="module")
+def gen1_problem():
+    return build_problem(GEN1)
 
 
 def pattern_violation_probability(probs: np.ndarray, pairs) -> float:
@@ -342,6 +350,53 @@ class TestEvolve:
         wrong = CostOperator(n=5, diagonal=np.zeros(32))
         with pytest.raises(ValueError, match="cost diagonal does not match the state size"):
             evolve(spec, wrong, params, scale=toy.cost.scale)
+
+
+def layer_by_layer(spec, cost, scale, params):
+    """The exact loop written layer by layer, as the reference of the compiled
+    one: per layer, one complex exponential per basis state for the cost phase
+    and one for the mixer phase."""
+    eigen, basis = spec._mixer_basis
+    amps = prepare_initial_state(spec).amplitudes
+    for gamma, beta in zip(params.gamma, params.beta):
+        amps = amps * np.exp(-1j * gamma * cost.diagonal / scale)
+        amps = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
+        amps *= np.exp(-1j * beta * eigen)
+        amps = (basis @ amps.view(float).reshape(-1, 2)).view(complex).ravel()
+    return amps
+
+
+class TestCompiledExactLayers:
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("instance", ["toy", "gen1_problem"])
+    def test_bit_identical_to_the_layer_by_layer_loop(self, request, instance, depth):
+        problem = request.getfixturevalue(instance)
+        cost, scale = problem.cost.phase_diagonal, problem.cost.scale
+        rng = np.random.default_rng(depth)
+        for spec in (
+            AnsatzSpec.standard(cost.n, depth),
+            AnsatzSpec.constraint_aware(problem.constraints, depth, 0.7),
+        ):
+            layers = compile_exact_layers(spec, cost, scale)
+            for _ in range(10):
+                params = ParameterPoint.random(depth, rng)
+                expected = layer_by_layer(spec, cost, scale, params)
+                assert np.array_equal(layers(params.gamma, params.beta).amplitudes, expected)
+                evolved = evolve(spec, cost, params, scale=scale)
+                assert np.array_equal(evolved.amplitudes, expected)
+
+    def test_mixer_phases_come_from_the_distinct_eigenvalues(self, toy):
+        # 7 distinct values for standard QAOA on 6 qubits, 15 for the hybrid mixer
+        standard = AnsatzSpec.standard(6, 1)
+        aware = AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7)
+        assert [len(np.unique(s._mixer_basis[0])) for s in (standard, aware)] == [7, 15]
+
+    def test_depth_zero_returns_a_copy_of_the_initial_state(self, toy):
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 0, 0.7)
+        layers = compile_exact_layers(spec, toy.cost.phase_diagonal, toy.cost.scale)
+        layers((), ()).amplitudes[:] = 0.0
+        assert np.array_equal(layers((), ()).amplitudes, prepare_initial_state(spec).amplitudes)
+        assert prepare_initial_state(spec).norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCircuitDump:

@@ -143,6 +143,10 @@ class TestExperimentConfig:
             ({"workers": 2.5}, "workers must be a whole number, got 2.5"),
             ({"master_seed": 0.5}, "master_seed must be a whole number, got 0.5"),
             ({"regime": "III", "noise": "paper"}, "noise must be a NoiseModel or None, got 'paper'"),
+            ({"optimizer": {"restarts": 1}},
+             "optimizer must be an OptimizerConfig, got {'restarts': 1}"),
+            ({"seeds": 5}, "seeds must be a tuple or list, got 5"),
+            ({"lambdas": 0.7}, "lambdas must be a tuple or list, got 0.7"),
         ],
     )
     def test_direct_construction_is_checked_naming_the_field(self, fields, message):

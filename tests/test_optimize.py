@@ -53,6 +53,32 @@ class TestNelderMead:
         assert best_f < 1e-6
         assert len(history) <= 200
 
+    def test_history_is_pinned(self):
+        # every step is elementwise float arithmetic (clamp, centroid, moves) on a
+        # sum of three terms, so the history is the same on every platform
+        target, weights = np.array([0.3, -0.6, 1.1]), np.array([1.0, 2.0, 0.5])
+
+        def f(x):
+            return float(np.sum(weights * (x - target) ** 2))
+
+        best_x, best_f, history = nelder_mead(
+            f, np.array([1.5, 1.5, -1.0]), np.full(3, -2.0), np.array([2.0, 1.0, 2.0]), 40
+        )
+        assert history == [
+            8.765, 9.427500000000002, 7.290000000000001, 8.27125, 6.880277777777776,
+            5.8462499999999995, 5.520555555555555, 4.19, 3.7379166666666666, 2.47125,
+            1.978888888888889, 1.4899999999999998, 1.101805555555556, 2.89625, 3.399876543209875,
+            1.7455555555555549, 3.6934722222222214, 1.4851388888888888, 1.4307407407407415,
+            1.3278600823045275, 0.7791946730681311, 0.5189866255144044, 0.9685550983081851,
+            1.1179327338312257, 0.8246593507087343, 0.5036574074074073, 0.5934722222222197,
+            0.2517842808514976, 0.19205761316872674, 0.34619570187471566, 0.043672903012751826,
+            0.13896833561956734, 0.7755073399493125, 0.18143335055067292, 0.14409756994034514,
+            0.26739426424604745, 0.08260259901677672, 0.043683348446370854, 0.14515836087251213,
+            0.0465267566652997,
+        ]
+        assert best_x.tolist() == [0.4670781893004092, -0.576131687242796, 0.9290123456790109]
+        assert best_f == 0.043672903012751826 == min(history)
+
     def test_respects_budget(self):
         calls = []
 
@@ -145,6 +171,24 @@ class TestObjective:
         )
         assert abs(estimate - exact) < 3 * se
 
+    @pytest.mark.parametrize("batches", [1, 3, 4])
+    def test_shot_objective_is_one_draw_per_batch(self, toy, batches):
+        # one multinomial call over every batch gives the draws and leaves the
+        # generator as one call per batch does; the means sum as np.mean sums them
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
+        kind, cfg = ObjectiveKind.shots(), OptimizerConfig(batches=batches)
+        evaluator = compile_evaluator(spec, toy.cost, kind)
+        diag, shots = toy.cost.full_diagonal.diagonal, cfg.shots_objective
+        for seed in range(10):
+            point = ParameterPoint.random(2, np.random.default_rng(seed))
+            probs = evaluator(point.as_vector())
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            value = objective(point, spec, toy.cost, kind, cfg, rng, evaluator)
+            means = [float(reference.multinomial(shots, probs) @ diag) / shots
+                     for _ in range(batches)]
+            assert value == float(np.mean(means)) / toy.cost.scale
+            assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_shot_kind_requires_rng(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         with pytest.raises(ValueError):
@@ -222,6 +266,20 @@ class TestObjective:
             (
                 lambda toy: ObjectiveKind("III", "paper"),
                 "noise must be a NoiseModel or None, got 'paper'",
+            ),
+            (
+                lambda toy: evolve(
+                    AnsatzSpec.standard(6, 1), toy.cost.phase_diagonal,
+                    ParameterPoint((0.1,), (0.2,)), engine="exact", scale=True,
+                ),
+                "scale must be a finite real number, got True",
+            ),
+            (
+                lambda toy: evolve(
+                    AnsatzSpec.standard(6, 1), toy.cost.ising, ParameterPoint((0.1,), (0.2,)),
+                    engine="gate", scale="1",
+                ),
+                "scale must be a finite real number, got '1'",
             ),
             (lambda toy: OptimizerConfig(max_evals=True), "max_evals must be a whole number"),
             (lambda toy: OptimizerConfig(restarts=2.5), "restarts must be a whole number"),
