@@ -17,8 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from types import UnionType
-from typing import Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -244,6 +243,12 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self) -> None:
+        for name, value in (("instance_path (config key 'instance')", self.instance_path),
+                            ("output_dir", self.output_dir)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.save_traces, bool):
+            raise ValueError(f"save_traces must be a bool, got {self.save_traces!r}")
         ObjectiveKind(self.regime, self.noise)  # raises on a bad regime or a misplaced noise model
         if not isinstance(self.optimizer, OptimizerConfig):
             raise ValueError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
@@ -251,7 +256,9 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a tuple or list, got {value!r}")
         if self.ansatz not in (STANDARD, CONSTRAINT_AWARE, "both"):
-            raise ValueError("ansatz must be standard, constraint_aware, or both")
+            raise ValueError(
+                f"ansatz must be standard, constraint_aware, or both, got {self.ansatz!r}"
+            )
         if self.ansatz != STANDARD and not self.lambdas:
             raise ValueError("constraint-aware sweeps need at least one lambda")
         if not self.seeds:
@@ -274,6 +281,8 @@ class ExperimentConfig:
             if key in keys or label in keys:
                 raise ValueError(f"lambda {lam!r} is repeated")
             keys.update((key, label))
+        self.lambdas = tuple(float(lam) for lam in self.lambdas)
+        self.seeds = tuple(self.seeds)
 
     def cells(self) -> list[tuple[str, float | None]]:
         out: list[tuple[str, float | None]] = []
@@ -475,64 +484,40 @@ RUN_FLAG_KEYS = {
 }
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {value!r}")
-    return value
-
-
-def _typed(key: str, value, hint):
-    """``value`` if it has the field type ``hint``; otherwise a ValueError naming ``key``."""
-    if get_origin(hint) is UnionType:  # X | None
-        return None if value is None else _typed(key, value, get_args(hint)[0])
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
-        return tuple(_typed(key, v, get_args(hint)[0]) for v in value)
-    # a JSON int is a valid float, a JSON bool is no number
-    accepted = (int, float) if hint is float else hint
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-        raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
-    return float(value) if hint is float else value
-
-
-def _fields(cls: type, payload, section: str | None = None, exclude: tuple[str, ...] = ()) -> dict:
-    """Checked keyword arguments for the dataclass ``cls`` from a config object.
-
-    The accepted keys are the fields of ``cls`` except ``exclude``; a key that
-    is left out keeps its field default.
-    """
-    hints = {k: v for k, v in get_type_hints(cls).items() if k not in exclude}
+def _fields(cls: type, payload: dict, section: str | None = None, exclude: tuple = ()) -> dict:
+    """``payload``, once each of its keys names a field of ``cls`` outside ``exclude``."""
+    names = {f.name for f in fields(cls)} - set(exclude)
     prefix = "" if section is None else f"{section}."
-    for key in _object(payload, f"config key {section!r}"):
-        if key not in hints:
+    for key in payload:
+        if key not in names:
             raise ValueError(f"unknown config key {prefix + key!r}")
-    return {key: _typed(prefix + key, value, hints[key]) for key, value in payload.items()}
+    return payload
 
 
-def _noise_from_value(value) -> NoiseModel | None:
-    if isinstance(value, str):
-        if value not in NOISE_PRESETS:
-            raise ValueError(f"unknown noise preset {value!r}")
-        return NOISE_PRESETS[value]
-    return None if value is None else NoiseModel(**_fields(NoiseModel, value, "noise"))
+def _built(cls: type, value, section: str):
+    """``cls`` built from a config object; any other value is ExperimentConfig's to judge."""
+    return cls(**_fields(cls, value, section)) if isinstance(value, dict) else value
 
 
 def build_experiment_config(file_cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
     """Merge a JSON config file with command-line overrides.
 
     The accepted keys are the fields of :class:`ExperimentConfig`, with
-    ``instance`` for ``instance_path``, and under ``optimizer`` those of
-    :class:`OptimizerConfig`.  Any other key, or a value of the wrong type,
-    is a ValueError that names the key.
+    ``instance`` for ``instance_path``, and those of :class:`OptimizerConfig`
+    and :class:`NoiseModel` under ``optimizer`` and ``noise``.  Any other key
+    is a ValueError naming it; the types judge the values, as in Python.
     """
-    merged = dict(_object(file_cfg, "the config"))
-    merged["optimizer"] = dict(_object(merged.get("optimizer", {}), "config key 'optimizer'"))
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"the config must be a JSON object, got {file_cfg!r}")
+    merged = {"optimizer": {}, **file_cfg}
     for dest, key in RUN_FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is not None:
             section, _, leaf = key.rpartition(".")
-            (merged[section] if section else merged)[leaf] = value
+            if not section:
+                merged[leaf] = value
+            elif isinstance(merged[section], dict):  # ExperimentConfig rejects any other value
+                merged[section] = {**merged[section], leaf: value}
 
     instance = merged.pop("instance", None)
     if instance is None:
@@ -540,13 +525,15 @@ def build_experiment_config(file_cfg: dict, args: argparse.Namespace) -> Experim
     if type(merged.get("seeds")) is int:  # a seed count
         check_whole("seed count", merged["seeds"], 1)
         merged["seeds"] = tuple(range(merged["seeds"]))
-    merged["noise"] = _noise_from_value(merged.get("noise"))
-    merged["optimizer"] = OptimizerConfig(
-        **_fields(OptimizerConfig, merged["optimizer"], "optimizer")
-    )
+    noise = merged.get("noise")
+    if isinstance(noise, str):
+        if noise not in NOISE_PRESETS:
+            raise ValueError(f"unknown noise preset {noise!r}")
+        noise = NOISE_PRESETS[noise]
+    merged["noise"] = _built(NoiseModel, noise, "noise")
+    merged["optimizer"] = _built(OptimizerConfig, merged["optimizer"], "optimizer")
     return ExperimentConfig(
-        instance_path=_typed("instance", instance, str),
-        **_fields(ExperimentConfig, merged, exclude=("instance_path",)),
+        instance_path=instance, **_fields(ExperimentConfig, merged, exclude=("instance_path",))
     )
 
 

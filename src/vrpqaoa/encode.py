@@ -107,8 +107,9 @@ def penalize(
     idx = LinkVariableIndex.for_nodes(m)
     if cs.n != idx.n:
         raise ValueError("constraint set does not match the instance's variable count")
-    p = default_penalty(inst) if penalty is None else float(penalty)
+    p = default_penalty(inst) if penalty is None else penalty
     check_positive("penalty", p)
+    p = float(p)
 
     constant = 0.0
     linear = [0.0] * idx.n

@@ -103,6 +103,8 @@ class VrpInstance:
         for i, row in enumerate(self.distances):
             for j, w in enumerate(row):
                 check_real(f"distance [{i}][{j}]", w, 0)
+        # stored as floats, so Python callers and JSON files get the same instance
+        object.__setattr__(self, "distances", tuple(tuple(map(float, r)) for r in self.distances))
         if any(self.distances[i][i] != 0 for i in range(m)):
             raise ValueError("diagonal of the distance matrix must be zero")
         check_whole("vehicles", self.vehicles, 1)
@@ -135,16 +137,13 @@ class VrpInstance:
                 raise ValueError(f"instance key {key!r} is missing")
         rows = payload["distances"]
         if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple))
-            and all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in row)
-            for row in rows
+            isinstance(row, (list, tuple)) for row in rows
         ):
             raise ValueError(f"distances must be a list of rows of numbers, got {rows!r}")
-        distances = tuple(tuple(float(w) for w in row) for row in rows)
         vehicles = payload["vehicles"]
         if isinstance(vehicles, float) and vehicles.is_integer():  # JSON's 2.0
             vehicles = int(vehicles)
-        return cls(distances=distances, vehicles=vehicles)
+        return cls(distances=rows, vehicles=vehicles)
 
     def to_dict(self) -> dict:
         return {"distances": [list(row) for row in self.distances], "vehicles": self.vehicles}

@@ -377,11 +377,10 @@ class ShotHistogram:
 def sample(probs: np.ndarray, shots: int, rng: int | np.random.Generator) -> ShotHistogram:
     """Multinomial draw from an exact distribution; deterministic per seed."""
     check_whole("shots", shots, 1)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     probs = np.asarray(probs, dtype=float)
     probs = probs / probs.sum()
     n = int(round(math.log2(len(probs))))
-    drawn = gen.multinomial(shots, probs)
+    drawn = np.random.default_rng(rng).multinomial(shots, probs)  # a Generator is used as is
     counts = {index_bitstring(i, n): int(c) for i, c in enumerate(drawn) if c}
     return ShotHistogram(counts=counts, shots=shots)
 

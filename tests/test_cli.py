@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -152,6 +153,53 @@ class TestExperimentConfig:
     def test_direct_construction_is_checked_naming_the_field(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(instance_path=toy_instance_path(), **fields)
+
+
+#: A wrongly typed value for every field of the three config types.
+WRONG_TYPES = {
+    ExperimentConfig: {
+        "instance_path": 5, "regime": 3, "ansatz": 1, "lambdas": "0.5", "depth": 2.5,
+        "seeds": "3", "optimizer": 5, "noise": 5, "master_seed": 0.5, "output_dir": 5,
+        "workers": 2.5, "save_traces": "no",
+    },
+    OptimizerConfig: {
+        "restarts": 2.5, "max_evals": True, "shots_objective": "1024", "batches": 1.5,
+        "shots_final": None,
+    },
+    NoiseModel: {"p1": "0.1", "p2": True, "p01": None, "p10": [0.001]},
+}
+
+
+class TestWrongTypes:
+    def test_table_covers_every_field(self):
+        for cls, values in WRONG_TYPES.items():
+            assert set(values) == {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize(
+        "cls,name,value",
+        [pytest.param(cls, name, value, id=f"{cls.__name__}.{name}")
+         for cls, values in WRONG_TYPES.items() for name, value in values.items()],
+    )
+    def test_python_and_config_file_give_one_message_naming_the_field(
+        self, tmp_path, capsys, cls, name, value
+    ):
+        config = {"instance": toy_instance_path(), "output_dir": str(tmp_path / "out")}
+        if cls is ExperimentConfig:
+            with pytest.raises(ValueError) as raised:
+                ExperimentConfig(**{"instance_path": toy_instance_path(), name: value})
+            config["instance" if name == "instance_path" else name] = value
+        else:
+            with pytest.raises(ValueError) as raised:
+                cls(**{name: value})
+            config.update({"optimizer": {name: value}} if cls is OptimizerConfig
+                          else {"regime": "III", "noise": {name: value}})
+        message = str(raised.value)
+        assert name in message
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunExperiment:
@@ -365,7 +413,7 @@ class TestCommandLine:
             ({"scale": 500.0}, "unknown config key 'scale'"),
             ({"optimizer": {"seed": 3}}, "unknown config key 'optimizer.seed'"),
             ({"regime": "III", "noise": {"p_1": 0.1}}, "unknown config key 'noise.p_1'"),
-            ({"depth": 2.5}, "config key 'depth' must be int, got 2.5"),
+            ({"depth": 2.5}, "depth (--p) must be a whole number, got 2.5"),
             ([{"depth": 1}], "the config must be a JSON object"),
             ({"regime": "IV"}, "unknown regime 'IV'"),
             ({"seeds": [1, 1]}, "seed 1 is repeated"),
@@ -476,6 +524,17 @@ class TestCommandLine:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_integer_lambdas_are_written_as_floats(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "instance": toy_instance_path(), "ansatz": "constraint_aware", "lambdas": [1],
+            "depth": 1, "seeds": [0], "optimizer": FAST_OPT,
+        }))
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        record = json.loads((out_dir / "runs" / "constraint_aware_lam1_seed0.json").read_text())
+        assert record["lambda"] == 1.0 and isinstance(record["lambda"], float)
 
     def test_seed_and_lambda_parsing(self, tmp_path):
         parser = build_parser()

@@ -26,7 +26,7 @@ MALFORMED_INSTANCES = [
     ({"distances": 5, "vehicles": 1}, "distances must be a list of rows of numbers, got 5"),
     ({"distances": [5, 5], "vehicles": 1}, "distances must be a list of rows of numbers"),
     ({"distances": [[0, "1"], [1, 0]], "vehicles": 1},
-     "distances must be a list of rows of numbers"),
+     "distance [0][1] must be a finite real number, got '1'"),
     ({"distances": [[0, 1], [1, 0]], "vehicles": 1, "extra": 3}, "unknown instance key 'extra'"),
     ({"distances": [[0, 1], [1, 0]], "vehicles": True}, "vehicles must be a whole number, got True"),
 ]
@@ -74,6 +74,17 @@ class TestInstanceValidation:
     def test_from_dict_accepts_integral_float_vehicles(self):
         payload = {"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "vehicles": 2.0}
         assert VrpInstance.from_dict(payload).vehicles == 2
+
+    def test_integer_distances_load_as_floats(self):
+        whole = VrpInstance.from_dict({"distances": [[0, 61, 5], [61, 0, 43], [5, 43, 0]],
+                                       "vehicles": 2})
+        floats = [[0.0, 61.0, 5.0], [61.0, 0.0, 43.0], [5.0, 43.0, 0.0]]
+        assert whole == VrpInstance.from_dict({"distances": floats, "vehicles": 2})
+        direct = VrpInstance(distances=((0, 61, 5), (61, 0, 43), (5, 43, 0)), vehicles=2)
+        assert direct == whole
+        for inst in (whole, direct):
+            assert inst.to_dict() == {"distances": floats, "vehicles": 2}
+            assert all(type(w) is float for row in inst.to_dict()["distances"] for w in row)
 
     @pytest.mark.parametrize("payload,message", MALFORMED_INSTANCES)
     def test_from_dict_rejects_malformed_payload(self, payload, message):

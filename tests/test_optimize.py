@@ -15,6 +15,7 @@ from vrpqaoa.ansatz import (
     init_circuit,
 )
 from vrpqaoa.cli import build_problem
+from vrpqaoa.encode import penalize
 from vrpqaoa.instance import VrpInstance
 from vrpqaoa.optimize import (
     ObjectiveKind,
@@ -323,6 +324,14 @@ class TestObjective:
             (lambda toy: StateVector.from_support(2, ["1"]), "'1' is not 2 binary digits"),
             (lambda toy: sample([0.5, 0.5], 10.5, 0), "shots must be a whole number, got 10.5"),
             (lambda toy: sample([0.5, 0.5], True, 0), "shots must be a whole number, got True"),
+            (
+                lambda toy: penalize(toy.instance, toy.constraints, True),
+                "penalty must be a finite real number, got True",
+            ),
+            (
+                lambda toy: penalize(toy.instance, toy.constraints, "400"),
+                "penalty must be a finite real number, got '400'",
+            ),
         ],
     )
     def test_bad_input_is_rejected_naming_the_field(self, toy, build, message):
