@@ -327,31 +327,38 @@ def _recipe_state(spec: AnsatzSpec, noise: NoiseModel | None, noisy_init: bool) 
 
 def compile_exact_layers(
     spec: AnsatzSpec, cost: CostOperator, scale: float
-) -> Callable[[Sequence[float], Sequence[float]], StateVector]:
-    """The exact engine's p-layer loop, compiled once per run: (gammas, betas) ->
-    StateVector.  Each layer is the cost phase, then the mixer in closed form
-    through the spec's real eigenbasis, with no gate list.
+) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
+    """The exact engine's p-layer loop, compiled once per run: (gammas, betas),
+    each of shape (..., p), -> amplitudes of shape (..., 2^n), one state per
+    row.  Each layer is the cost phase, then the mixer in closed form through
+    the spec's real eigenbasis, with no gate list.
 
-    The phases of all layers come from two ``exp`` calls per evaluation; the
+    The phases of all layers and rows come from two ``exp`` calls per call; the
     mixer's only over the generator's few distinct eigenvalues (7 of 64 for
     standard QAOA on 6 qubits), gathered back to 2^n.
     """
     eigen, basis = spec._mixer_basis
     values, index = np.unique(eigen, return_inverse=True)
-    start = spec._loaded_state.amplitudes[:, None]
+    start, p, dim = spec._loaded_state.amplitudes[:, None], spec.depth, 1 << spec.n
 
-    def layers(gammas: Sequence[float], betas: Sequence[float]) -> StateVector:
-        # (-1j * gamma) * diag, then / scale: dividing diag by scale first changes last bits
-        cost_phases = np.exp(np.multiply.outer(-1j * np.asarray(gammas), cost.diagonal) / scale)
-        mixer_phases = np.exp(np.multiply.outer(-1j * np.asarray(betas), values)).take(index, 1)
-        # the state is a (2^n, 1) complex column, and each matmul takes its (2^n, 2)
-        # float view: a complex product goes to OpenBLAS zgemv, whose threads
-        # stall when processes share the cores
-        state = start
+    def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+        batch = np.shape(gammas)[:-1]
+        k = math.prod(batch)
+        # (p, k) angles, (p, k, 2^n) phases; (-1j * gamma) * diag, then / scale:
+        # dividing diag by scale first changes last bits
+        gammas, betas = (np.asarray(a, dtype=float).reshape(k, p).T for a in (gammas, betas))
+        cost_phases = np.exp(np.multiply.outer(-1j * gammas, cost.diagonal) / scale)
+        mixer_phases = np.exp(np.multiply.outer(-1j * betas, values)).take(index, -1)
+        # The states are a (k, 2^n, 1) complex stack, and each matmul takes its
+        # (k, 2^n, 2) float view.  np.matmul runs one (2^n x 2^n)(2^n x 2) dgemm
+        # per row, so every row has the bits of a single-state call; one wide
+        # (2^n, 2k) product would not.  A complex product goes to OpenBLAS
+        # zgemv, whose threads stall when processes share the cores.
+        state = np.broadcast_to(start, (k, dim, 1))
         for cost_phase, mixer_phase in zip(cost_phases[..., None], mixer_phases[..., None]):
             state = (basis @ (state * cost_phase).view(float)).view(complex)
             state = (basis @ (state * mixer_phase).view(float)).view(complex)
-        return StateVector(spec.n, (state if state is not start else start.copy()).ravel())
+        return (state if p else state.copy()).reshape(*batch, dim)
 
     return layers
 
@@ -416,16 +423,17 @@ def compile_noisy_layers(
     restore = tuple(order.index(q) for q in range(n))
     start, shape = _recipe_state(spec, noise, noisy_init), [4] * n
     eyes = np.broadcast_to(np.eye(4), (p, 1, 4, 4))
-    units = np.broadcast_to(np.eye(16), (p, len(steps) - k, 16, 16))
+    m = len(steps)  # spelled out in the reshapes: at depth 0 they hold no entry to infer it from
+    units = np.broadcast_to(np.eye(16), (p, m - k, 16, 16))
 
     def layers(gammas: Sequence[float], betas: Sequence[float]) -> DensityMatrix:
         angles = 2 * np.concatenate([np.outer(gammas, rates), np.outer(betas, [1.0, spec.lam])], 1)
         trig = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], -1)
         singles = np.concatenate([_combine(trig[:, k:-2], rz) * z_masks, eyes], 1)  # D RZ, I
         singles[:, x_qubits] = _combine(trig[:, -1], rx)[:, None] @ singles[:, x_qubits]
-        base = np.concatenate([_combine(trig[:, :k], rzz), units], 1).reshape(p, -1, 4, 64)
-        half = (singles[:, sides[0]] @ base).reshape(p, -1, 4, 4, 16)  # (B x I) G, then (I x B')
-        blocks = (singles[:, sides[1], None] @ half).reshape(p, -1, 16, 16)
+        base = np.concatenate([_combine(trig[:, :k], rzz), units], 1).reshape(p, m, 4, 64)
+        half = (singles[:, sides[0]] @ base).reshape(p, m, 4, 4, 16)  # (B x I) G, then (I x B')
+        blocks = (singles[:, sides[1], None] @ half).reshape(p, m, 16, 16)
         if xy_steps:
             mix = _combine(trig[:, -2], ryy) @ _combine(trig[:, -2], rxx)
             blocks[:, xy_steps] = mix[:, None] @ blocks[:, xy_steps]
@@ -468,7 +476,8 @@ def evolve(
             raise TypeError("exact engine needs a CostOperator diagonal")
         if noise is not None:
             raise ValueError("the exact engine is noiseless; use engine='gate'")
-        return compile_exact_layers(spec, cost, scale)(params.gamma, params.beta)
+        amplitudes = compile_exact_layers(spec, cost, scale)(params.gamma, params.beta)
+        return StateVector(spec.n, amplitudes)
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")
     if not isinstance(cost, IsingCoefficients):

@@ -91,7 +91,12 @@ class VrpInstance:
     vehicles: int
 
     def __post_init__(self) -> None:
-        m = len(self.distances)
+        rows = self.distances
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows
+        ):
+            raise ValueError(f"distances must be a list of rows of numbers, got {rows!r}")
+        m = len(rows)
         if m < 2:
             raise ValueError("need at least a depot and one customer")
         if m > MAX_NODES:
@@ -135,15 +140,10 @@ class VrpInstance:
         for key in ("distances", "vehicles"):
             if key not in payload:
                 raise ValueError(f"instance key {key!r} is missing")
-        rows = payload["distances"]
-        if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows
-        ):
-            raise ValueError(f"distances must be a list of rows of numbers, got {rows!r}")
         vehicles = payload["vehicles"]
         if isinstance(vehicles, float) and vehicles.is_integer():  # JSON's 2.0
             vehicles = int(vehicles)
-        return cls(distances=rows, vehicles=vehicles)
+        return cls(distances=payload["distances"], vehicles=vehicles)
 
     def to_dict(self) -> dict:
         return {"distances": [list(row) for row in self.distances], "vehicles": self.vehicles}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .simcore import NoiseModel, apply_readout_confusion, measure_distribution
 #: finite shots on the density-matrix engine (III).
 REGIMES = ("I", "II", "III")
 
-#: The measurement distribution at Nelder-Mead's raw vector, as compile_evaluator builds it.
+#: The measurement distributions at Nelder-Mead's raw vectors, (..., 2p) -> (..., 2^n),
+#: as compile_evaluator builds it.
 Evaluator = Callable[[Sequence[float]], np.ndarray]
 
 #: Offset of each coordinate of the initial Nelder-Mead simplex.
@@ -90,23 +91,33 @@ class ObjectiveKind:
 
 
 def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind) -> Evaluator:
-    """``probs(vec)``: the measurement distribution at Nelder-Mead's raw vector
-    (the gammas, then the betas), compiled once per run.  It runs the exact
-    engine's loop, or under gate noise the compiled noisy layer, whose
-    reference is :func:`final_distribution`'s gate engine."""
+    """``probs(vecs)``: the measurement distributions at Nelder-Mead's raw vectors
+    (the gammas, then the betas), (..., 2p) -> (..., 2^n), compiled once per run.
+    It runs the exact engine's loop on every row at once, or under gate noise the
+    compiled noisy layer row by row, whose reference is :func:`final_distribution`'s
+    gate engine."""
     spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
-    if noise is not None and noise.has_gate_noise:
+    noisy = noise is not None and noise.has_gate_noise
+    if noisy:
         layers = compile_noisy_layers(spec, cost.ising, cost.scale, noise, kind.noisy_init)
     else:
         layers = compile_exact_layers(spec, cost.phase_diagonal, cost.scale)
 
-    def probs(vec: Sequence[float]) -> np.ndarray:
-        if len(vec) != 2 * p:
-            raise ValueError(f"expected {2 * p} angles, got {len(vec)}")
-        angles = np.asarray(vec, dtype=float)
-        out = measure_distribution(layers(angles[:p], angles[p:]))
-        return out if noise is None else apply_readout_confusion(out, noise.p01, noise.p10)
+    def probs(vecs: Sequence[float]) -> np.ndarray:
+        angles = np.asarray(vecs, dtype=float)
+        if angles.shape[-1] != 2 * p:
+            raise ValueError(f"expected {2 * p} angles, got {angles.shape[-1]}")
+        if noisy:
+            rows = angles.reshape(math.prod(angles.shape[:-1]), 2 * p)
+            dists = [measure_distribution(layers(row[:p], row[p:])) for row in rows]
+        else:
+            out = measure_distribution(layers(angles[..., :p], angles[..., p:]))
+            if noise is None:
+                return out
+            dists = out.reshape(-1, out.shape[-1])
+        out = np.array([apply_readout_confusion(d, noise.p01, noise.p10) for d in dists])
+        return out.reshape(*angles.shape[:-1], -1)
 
     return probs
 
@@ -138,11 +149,14 @@ def objective(
     cfg: OptimizerConfig,
     rng: np.random.Generator | None = None,
     evaluator: Evaluator | None = None,
+    probs: np.ndarray | None = None,
 ) -> float:
     """Scaled energy at the given angles (a point, or Nelder-Mead's raw vector)
-    under ``evaluator``, by default ``compile_evaluator(spec, cost, kind)``."""
-    vec = params.as_vector() if isinstance(params, ParameterPoint) else params
-    probs = (evaluator or compile_evaluator(spec, cost, kind))(vec)
+    under ``evaluator``, by default ``compile_evaluator(spec, cost, kind)``, or of
+    ``probs``, the distribution there when the caller already has it."""
+    if probs is None:
+        vec = params.as_vector() if isinstance(params, ParameterPoint) else params
+        probs = (evaluator or compile_evaluator(spec, cost, kind))(vec)
     diag = cost.full_diagonal.diagonal
     if not kind.stochastic:
         return float(probs @ diag) / cost.scale
@@ -157,22 +171,27 @@ def objective(
 
 
 class _BudgetSpent(Exception):
-    """Raised by :func:`nelder_mead`'s ``evaluate`` once the budget is used."""
+    """Raised by :func:`nelder_mead_steps`'s ``evaluate`` once the budget is used."""
 
 
-def nelder_mead(
-    f: Callable[[np.ndarray], float],
+NelderMeadResult = tuple[np.ndarray, float, list[float]]
+
+
+def nelder_mead_steps(
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     max_evals: int,
-) -> tuple[np.ndarray, float, list[float]]:
-    """Nelder-Mead simplex with box clamping on every trial point.
+) -> Generator[np.ndarray, float, NelderMeadResult]:
+    """Nelder-Mead simplex with box clamping on every trial point, as a step
+    generator: it yields each trial point and is sent its value, and returns
+    (through ``StopIteration.value``) the best point evaluated within the budget,
+    its value and the full evaluation history.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
     The initial simplex offsets each coordinate by ``NM_STEP`` (flipped to
-    ``-NM_STEP`` where that would leave the box).  Returns the best point
-    evaluated within the budget together with the full evaluation history.
+    ``-NM_STEP`` where that would leave the box).  The simplex is a
+    (dim + 1, dim) array and its values a float array, sorted best first.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -185,58 +204,77 @@ def nelder_mead(
     history: list[float] = []
     best_x, best_f = x0.copy(), math.inf
 
-    def evaluate(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray) -> Generator[np.ndarray, float, float]:
         nonlocal best_x, best_f
         if len(history) >= max_evals:
             raise _BudgetSpent
-        fx = float(f(x))
+        fx = float((yield x))
         history.append(fx)
         if fx < best_f:
             best_x, best_f = x.copy(), fx
         return fx
 
-    simplex = [x0.copy()]
+    simplex = np.array([x0] * (dim + 1))
     for i in range(dim):
-        vertex = x0.copy()
-        vertex[i] = vertex[i] + NM_STEP if vertex[i] + NM_STEP <= upper[i] else vertex[i] - NM_STEP
-        simplex.append(clamp(vertex))
+        simplex[i + 1, i] += NM_STEP if x0[i] + NM_STEP <= upper[i] else -NM_STEP
+    simplex = clamp(simplex)
+    values = np.full(dim + 1, math.inf)
 
     def along(coef: float) -> np.ndarray:  # on the line from the worst vertex via the centroid
         return clamp(centroid + coef * (centroid - simplex[-1]))
 
     alpha, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
     try:
-        values = [evaluate(vertex) for vertex in simplex]
+        for i, vertex in enumerate(simplex):  # views of rows no later step writes
+            values[i] = yield from evaluate(vertex)
         while True:
             order = np.argsort(values)
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
-            if values[-1] - values[0] < NM_SPREAD_TOL and max(
-                float(np.max(np.abs(v - simplex[0]))) for v in simplex
-            ) < NM_SPREAD_TOL:
+            simplex, values = simplex[order], values[order]
+            if values[-1] - values[0] < NM_SPREAD_TOL and np.abs(
+                simplex - simplex[0]
+            ).max(initial=0.0) < NM_SPREAD_TOL:  # a 0-dimensional simplex is one point
                 break
             centroid = np.add.reduce(simplex[:-1], axis=0) / dim
             reflected = along(alpha)
-            fr = evaluate(reflected)
+            fr = yield from evaluate(reflected)
             if fr < values[0]:
                 expanded = along(chi)
-                fe = evaluate(expanded)
+                fe = yield from evaluate(expanded)
                 simplex[-1], values[-1] = (expanded, fe) if fe < fr else (reflected, fr)
             elif fr < values[-2]:
                 simplex[-1], values[-1] = reflected, fr
             else:
                 outside = fr < values[-1]
                 contracted = along(psi if outside else -psi)
-                fc = evaluate(contracted)
+                fc = yield from evaluate(contracted)
                 if fc < (fr if outside else values[-1]):
                     simplex[-1], values[-1] = contracted, fc
                 else:
-                    for i in range(1, len(simplex)):
+                    for i in range(1, dim + 1):
                         simplex[i] = clamp(simplex[0] + sigma * (simplex[i] - simplex[0]))
-                        values[i] = evaluate(simplex[i])
+                        values[i] = yield from evaluate(simplex[i])
     except _BudgetSpent:
         pass
     return best_x, best_f, history
+
+
+def nelder_mead(
+    f: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    max_evals: int,
+) -> NelderMeadResult:
+    """:func:`nelder_mead_steps` driven by ``f``, one trial point at a time.
+    Returns the best point evaluated within the budget together with its value
+    and the full evaluation history."""
+    steps = nelder_mead_steps(x0, lower, upper, max_evals)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 @dataclass
@@ -262,10 +300,14 @@ def minimize(
     """Multi-restart Nelder-Mead over the angle box, seeded by ``seed``.
 
     Each restart draws its own start point and (for stochastic kinds) its
-    own sampling stream.  Restart winners of stochastic objectives are
-    compared by re-evaluating every candidate with one shared, fixed
-    evaluation stream so the selection is reproducible and unbiased by
-    per-restart sampling luck.
+    own sampling stream.  The restarts advance in lockstep: each round
+    evaluates every unfinished restart's pending point in one stacked
+    evaluator call, then scores the rows in restart order, each with its
+    restart's own stream, so every restart draws and steps exactly as it
+    would alone.  A restart whose simplex converges leaves the round.
+    Restart winners of stochastic objectives are compared by re-evaluating
+    every candidate with one shared, fixed evaluation stream so the
+    selection is reproducible and unbiased by per-restart sampling luck.
     """
     root = np.random.SeedSequence(seed)
     children = root.spawn(cfg.restarts + 1)
@@ -273,29 +315,37 @@ def minimize(
     lower, upper = _parameter_bounds(spec.depth)
     evaluator = compile_evaluator(spec, cost, kind)
 
-    trace: list[tuple[int, int, float]] = []
-    candidates: list[tuple[ParameterPoint, float]] = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(children[r])
-        start = ParameterPoint.random(spec.depth, rng).as_vector()
+    rngs = [np.random.default_rng(child) for child in children[:-1]]
+    runs = [
+        nelder_mead_steps(ParameterPoint.random(spec.depth, rng).as_vector(), lower, upper,
+                          cfg.max_evals)
+        for rng in rngs
+    ]
+    results: dict[int, NelderMeadResult] = {}
+    pending = {r: next(run) for r, run in enumerate(runs)}  # trial points, in restart order
+    while pending:
+        rows = evaluator(np.array(list(pending.values())))
+        for (r, x), probs in zip(list(pending.items()), rows):
+            value = objective(x, spec, cost, kind, cfg, rngs[r], probs=probs)
+            try:
+                pending[r] = runs[r].send(value)
+            except StopIteration as done:
+                results[r] = done.value
+                del pending[r]
 
-        def f(vec: np.ndarray) -> float:
-            return objective(vec, spec, cost, kind, cfg, rng, evaluator)
-
-        best_x, best_f, history = nelder_mead(f, start, lower, upper, cfg.max_evals)
-        trace.extend((r, i, v) for i, v in enumerate(history))
-        candidates.append((ParameterPoint.from_vector(best_x), best_f))
-
+    trace = [(r, i, v) for r in range(cfg.restarts) for i, v in enumerate(results[r][2])]
+    candidates = [results[r][:2] for r in range(cfg.restarts)]
     if kind.stochastic:
+        rows = evaluator(np.array([x for x, _ in candidates]))
         scores = [
-            objective(point, spec, cost, kind, cfg, np.random.default_rng(eval_key), evaluator)
-            for point, _ in candidates
+            objective(x, spec, cost, kind, cfg, np.random.default_rng(eval_key), probs=probs)
+            for (x, _), probs in zip(candidates, rows)
         ]
     else:
         scores = [value for _, value in candidates]
     winner = int(np.argmin(scores))
     return OptimizeResult(
-        params=candidates[winner][0],
+        params=ParameterPoint.from_vector(candidates[winner][0]),
         objective=float(scores[winner]),
         trace=trace,
     )

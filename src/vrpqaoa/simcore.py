@@ -338,11 +338,12 @@ def apply_diagonal_phase(state: State, diag: CostOperator, gamma: float, scale: 
     return state
 
 
-def measure_distribution(state: State) -> np.ndarray:
-    """Exact computational-basis probabilities of the state."""
-    probs = state.probabilities()
-    total = probs.sum()
-    if not total > 0:
+def measure_distribution(state: State | np.ndarray) -> np.ndarray:
+    """Exact computational-basis probabilities of the state, or of each row of a
+    (..., 2^n) stack of amplitudes, each normalized on its own."""
+    probs = np.abs(state) ** 2 if isinstance(state, np.ndarray) else state.probabilities()
+    total = probs.sum(-1, keepdims=True)
+    if not (total > 0).all():
         raise ValueError("state has no probability mass")
     return probs / total
 

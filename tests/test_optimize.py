@@ -20,6 +20,7 @@ from vrpqaoa.instance import VrpInstance
 from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
+    _parameter_bounds,
     compile_evaluator,
     final_distribution,
     minimize,
@@ -38,6 +39,7 @@ from vrpqaoa.simcore import (
 )
 
 PAPER_NOISE = NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
+ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles": 1}
 
 
 class TestNelderMead:
@@ -243,6 +245,14 @@ class TestObjective:
                 "vehicles must be a whole number, got True",
             ),
             (
+                lambda toy: VrpInstance(5, 1),
+                "distances must be a list of rows of numbers, got 5",
+            ),
+            (
+                lambda toy: VrpInstance(((0, 1), 5), 1),
+                r"distances must be a list of rows of numbers, got \(\(0, 1\), 5\)",
+            ),
+            (
                 lambda toy: VrpInstance(((0.0, "4.7"), (4.7, 0.0)), 1),
                 r"distance \[0\]\[1\] must be a finite real number, got '4.7'",
             ),
@@ -426,10 +436,8 @@ class TestNoisyFold:
     and X 3 and 5 fold (8 steps); with RZZ 05 and 45 zeroed, qubit 5 has no RZZ,
     so its X block stays apart while the pair (2, 4) folds into RZZ 24."""
 
-    ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles": 1}
-
     def problems(self, toy):
-        one_vehicle = build_problem(VrpInstance.from_dict(self.ONE_VEHICLE))
+        one_vehicle = build_problem(VrpInstance.from_dict(ONE_VEHICLE))
         return {
             "toy3": toy,
             "one_vehicle": one_vehicle,
@@ -473,6 +481,103 @@ class TestNoisyFold:
             assert len(layers.plan) == count
 
 
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("instance", ["toy3", "one_vehicle"])
+    @pytest.mark.parametrize(
+        "kind",
+        [ObjectiveKind.exact(), ObjectiveKind.noisy(NoiseModel(p01=0.02, p10=0.01)),
+         ObjectiveKind.noisy(PAPER_NOISE)],
+        ids=["exact", "readout", "paper"],
+    )
+    def test_each_row_equals_the_single_vector_call(self, toy, instance, depth, kind):
+        problem = toy if instance == "toy3" else build_problem(VrpInstance.from_dict(ONE_VEHICLE))
+        rng = np.random.default_rng(depth)
+        for spec in (
+            AnsatzSpec.standard(6, depth),
+            AnsatzSpec.constraint_aware(problem.constraints, depth, 0.7),
+        ):
+            evaluator = compile_evaluator(spec, problem.cost, kind)
+            for k in range(1, 6):
+                vecs = np.array([ParameterPoint.random(depth, rng).as_vector() for _ in range(k)])
+                rows = evaluator(vecs)
+                assert rows.shape == (k, 64)
+                for vec, row in zip(vecs, rows):
+                    assert np.array_equal(row, evaluator(vec))
+
+
+def sequential_minimize(spec, cost, kind, cfg, seed):
+    """The restarts one after another, each Nelder-Mead run driven point by point:
+    the reference of minimize's lockstep rounds."""
+    children = np.random.SeedSequence(seed).spawn(cfg.restarts + 1)
+    lower, upper = _parameter_bounds(spec.depth)
+    evaluator = compile_evaluator(spec, cost, kind)
+    trace, candidates = [], []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(children[r])
+        start = ParameterPoint.random(spec.depth, rng).as_vector()
+        best_x, best_f, history = nelder_mead(
+            lambda vec: objective(vec, spec, cost, kind, cfg, rng, evaluator),
+            start, lower, upper, cfg.max_evals,
+        )
+        trace.extend((r, i, v) for i, v in enumerate(history))
+        candidates.append((ParameterPoint.from_vector(best_x), best_f))
+    if kind.stochastic:
+        scores = [objective(point, spec, cost, kind, cfg, np.random.default_rng(children[-1]),
+                            evaluator) for point, _ in candidates]
+    else:
+        scores = [value for _, value in candidates]
+    winner = int(np.argmin(scores))
+    return candidates[winner][0], scores[winner], trace
+
+
+class TestLockstepRestarts:
+    @pytest.mark.parametrize(
+        "kind,cfg",
+        [
+            (ObjectiveKind.exact(), OptimizerConfig(max_evals=60)),
+            (ObjectiveKind.shots(), OptimizerConfig(max_evals=60)),
+            (ObjectiveKind.noisy(PAPER_NOISE), OptimizerConfig(restarts=3, max_evals=30)),
+        ],
+        ids=["I", "II", "III"],
+    )
+    def test_minimize_equals_the_sequential_restarts(self, toy, kind, cfg):
+        specs = (AnsatzSpec.standard(6, 2), AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7))
+        for spec in specs:
+            for seed in range(2):
+                result = minimize(spec, toy.cost, kind, cfg, seed)
+                params, value, trace = sequential_minimize(spec, toy.cost, kind, cfg, seed)
+                assert result.params == params
+                assert result.objective == value
+                assert result.trace == trace
+
+    def test_a_converged_restart_leaves_the_round(self, toy, monkeypatch):
+        # at seed 4, restart 1's simplex converges after 117 evaluations while
+        # restarts 0 and 2 spend the whole budget
+        from vrpqaoa import optimize
+
+        rounds = []
+
+        def counting(*args):
+            evaluator = compile_evaluator(*args)
+
+            def probs(vecs):
+                rounds.append(len(vecs))
+                return evaluator(vecs)
+
+            return probs
+
+        monkeypatch.setattr(optimize, "compile_evaluator", counting)
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7)
+        cfg = OptimizerConfig(restarts=3, max_evals=150)
+        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=4)
+        assert rounds == [3] * 117 + [2] * 33
+        assert [r for r, _, _ in result.trace] == [0] * 150 + [1] * 117 + [2] * 150
+        assert [i for _, i, _ in result.trace] == [*range(150), *range(117), *range(150)]
+        monkeypatch.undo()
+        assert sequential_minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, 4)[2] == result.trace
+
+
 class TestMinimize:
     def test_single_restart_single_eval_returns_start(self, toy):
         spec = AnsatzSpec.standard(6, 2)
@@ -482,6 +587,15 @@ class TestMinimize:
         expected = ParameterPoint.random(2, np.random.default_rng(children[0]))
         assert np.allclose(result.params.as_vector(), expected.as_vector(), atol=1e-12)
         assert len(result.trace) == 1
+
+    @pytest.mark.parametrize("kind", [ObjectiveKind.exact(), ObjectiveKind.noisy(PAPER_NOISE)],
+                             ids=["I", "III"])
+    def test_zero_depth_spends_one_evaluation_per_restart(self, toy, kind):
+        # a 0-dimensional simplex is one point, converged once it is evaluated
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 0, 0.7)
+        result = minimize(spec, toy.cost, kind, OptimizerConfig(restarts=2), seed=0)
+        assert [(r, i) for r, i, _ in result.trace] == [(0, 0), (1, 0)]
+        assert result.params == ParameterPoint((), ())
 
     def test_reported_objective_is_best_evaluated(self, toy):
         spec = AnsatzSpec.standard(6, 2)
