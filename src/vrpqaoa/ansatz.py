@@ -51,6 +51,13 @@ class ConstraintComponent:
     qubits: tuple[int, ...]
     patterns: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        for bits in self.patterns:
+            if not isinstance(bits, str) or len(bits) != len(self.qubits) or bits.strip("01"):
+                raise ValueError(f"pattern {bits!r} is not {len(self.qubits)} binary digits")
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        object.__setattr__(self, "patterns", tuple(self.patterns))
+
 
 @dataclass(frozen=True)
 class ConstraintGroups:
@@ -133,11 +140,16 @@ class AnsatzSpec:
         check_whole("n", self.n, 1)
         check_whole("depth", self.depth, 0)
         check_real("lam", self.lam, 0)
-        paired = [q for pair in self.xy_pairs for q in pair]
-        if len(set(paired)) != len(paired):
-            raise ValueError("xy pairs must be pairwise disjoint")
-        if not all(0 <= q < self.n for q in paired):
-            raise ValueError(f"xy_pairs {self.xy_pairs} name a qubit outside 0..{self.n - 1}")
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.xy_pairs):
+            raise ValueError(f"xy_pairs {self.xy_pairs} must be pairs of qubits")
+        # stored as tuples: hashable (a cache key), and equal whatever sequences they came as
+        object.__setattr__(self, "xy_pairs", tuple(map(tuple, self.xy_pairs)))
+        object.__setattr__(self, "components", tuple(self.components))
+        for name, groups in (("xy_pairs", self.xy_pairs),
+                             ("components", tuple(c.qubits for c in self.components))):
+            qubits = [q for group in groups for q in group]
+            if not all(0 <= q < self.n for q in qubits) or len(set(qubits)) != len(qubits):
+                raise ValueError(f"{name} {groups} name a qubit outside 0..{self.n - 1} or twice")
 
     def check_cost_size(self, n: int) -> None:
         """Raise a ValueError naming both qubit counts unless a cost on ``n`` qubits fits."""
@@ -209,11 +221,16 @@ class ParameterPoint:
     beta: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "beta"):
+            angles = getattr(self, name)
+            if not isinstance(angles, (list, tuple)) and np.ndim(angles) != 1:
+                raise ValueError(f"{name} must be a sequence of angles, got {angles!r}")
+            for angle in angles:
+                check_real(name, angle)
+            # stored as float tuples: hashable, and equal whatever sequence they came as
+            object.__setattr__(self, name, tuple(map(float, angles)))
         if len(self.gamma) != len(self.beta):
             raise ValueError("gamma and beta must have equal length")
-        for name in ("gamma", "beta"):
-            for angle in getattr(self, name):
-                check_real(name, angle)
 
     @property
     def depth(self) -> int:

@@ -236,7 +236,6 @@ def to_cost_operator(qubo: QuboProblem) -> CostOperator:
 class CompiledCost:
     """Everything circuit synthesis and objectives need, derived once."""
 
-    qubo: QuboProblem
     ising: IsingCoefficients  # convention B: aligned with measured bitstrings
     full_diagonal: CostOperator  # C(x) including the constant
     phase_diagonal: CostOperator  # C(x) - c0: the phase of a cost circuit built from h and J
@@ -247,7 +246,6 @@ class CompiledCost:
         ising = to_ising(qubo, CONVENTION_B)
         full = to_cost_operator(qubo)
         return cls(
-            qubo=qubo,
             ising=ising,
             full_diagonal=full,
             phase_diagonal=CostOperator(n=qubo.n, diagonal=full.diagonal - ising.constant),

@@ -1,10 +1,10 @@
-"""Derivative-free outer loop over the three objective evaluators.
+"""Derivative-free outer loop over the scaled energy of a QAOA distribution.
 
-The objective comes in three flavors matching the evaluation regimes:
-exact statevector expectation, finite-shot estimation, and noisy
-finite-shot estimation on the density-matrix engine.  All three return
-energies divided by the configured scale, so optimizer behavior is
-comparable across regimes.
+:func:`compile_evaluator` maps angle vectors to measurement distributions, on
+the statevector engine in regimes I and II and the density-matrix engine under
+gate noise; :func:`objective` scores one: its exact expectation in regime I, a
+finite-shot estimate in II and III.  Scores are energies divided by the
+configured scale, so optimizer behavior is comparable across regimes.
 """
 from __future__ import annotations
 
@@ -73,18 +73,6 @@ class ObjectiveKind:
         if self.regime != "III" and self.noise not in (None, NoiseModel()):
             raise ValueError(f"regime {self.regime} is noiseless; noise applies to regime III only")
 
-    @classmethod
-    def exact(cls) -> "ObjectiveKind":
-        return cls("I")
-
-    @classmethod
-    def shots(cls) -> "ObjectiveKind":
-        return cls("II")
-
-    @classmethod
-    def noisy(cls, noise: NoiseModel) -> "ObjectiveKind":
-        return cls("III", noise)
-
     @property
     def stochastic(self) -> bool:
         return self.regime != "I"
@@ -142,21 +130,14 @@ def final_distribution(
 
 
 def objective(
-    params: ParameterPoint | np.ndarray,
-    spec: AnsatzSpec,
+    probs: np.ndarray,
     cost: CompiledCost,
     kind: ObjectiveKind,
     cfg: OptimizerConfig,
     rng: np.random.Generator | None = None,
-    evaluator: Evaluator | None = None,
-    probs: np.ndarray | None = None,
 ) -> float:
-    """Scaled energy at the given angles (a point, or Nelder-Mead's raw vector)
-    under ``evaluator``, by default ``compile_evaluator(spec, cost, kind)``, or of
-    ``probs``, the distribution there when the caller already has it."""
-    if probs is None:
-        vec = params.as_vector() if isinstance(params, ParameterPoint) else params
-        probs = (evaluator or compile_evaluator(spec, cost, kind))(vec)
+    """Scaled energy of the measurement distribution ``probs``: its expectation in
+    regime I, a shot estimate drawn from ``rng`` in regimes II and III."""
     diag = cost.full_diagonal.diagonal
     if not kind.stochastic:
         return float(probs @ diag) / cost.scale
@@ -325,8 +306,8 @@ def minimize(
     pending = {r: next(run) for r, run in enumerate(runs)}  # trial points, in restart order
     while pending:
         rows = evaluator(np.array(list(pending.values())))
-        for (r, x), probs in zip(list(pending.items()), rows):
-            value = objective(x, spec, cost, kind, cfg, rngs[r], probs=probs)
+        for r, probs in zip(list(pending), rows):
+            value = objective(probs, cost, kind, cfg, rngs[r])
             try:
                 pending[r] = runs[r].send(value)
             except StopIteration as done:
@@ -337,10 +318,8 @@ def minimize(
     candidates = [results[r][:2] for r in range(cfg.restarts)]
     if kind.stochastic:
         rows = evaluator(np.array([x for x, _ in candidates]))
-        scores = [
-            objective(x, spec, cost, kind, cfg, np.random.default_rng(eval_key), probs=probs)
-            for (x, _), probs in zip(candidates, rows)
-        ]
+        scores = [objective(probs, cost, kind, cfg, np.random.default_rng(eval_key))
+                  for probs in rows]
     else:
         scores = [value for _, value in candidates]
     winner = int(np.argmin(scores))

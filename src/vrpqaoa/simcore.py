@@ -348,12 +348,17 @@ def measure_distribution(state: State | np.ndarray) -> np.ndarray:
     return probs / total
 
 
+def _qubit_count(probs: np.ndarray) -> int:
+    """The n of a distribution over 2^n outcomes."""
+    if len(probs) < 1 or len(probs) & (len(probs) - 1):
+        raise ValueError("probability vector length must be a power of two")
+    return len(probs).bit_length() - 1
+
+
 def apply_readout_confusion(probs: np.ndarray, p01: float, p10: float) -> np.ndarray:
     """Push a distribution through independent per-qubit bit-flip confusion."""
     probs = np.asarray(probs, dtype=float)
-    n = int(round(math.log2(len(probs))))
-    if 1 << n != len(probs):
-        raise ValueError("probability vector length must be a power of two")
+    n = _qubit_count(probs)
     if p01 == 0.0 and p10 == 0.0:
         return probs.copy()
     _check_rate("p01", p01, 0.5)
@@ -379,8 +384,8 @@ def sample(probs: np.ndarray, shots: int, rng: int | np.random.Generator) -> Sho
     """Multinomial draw from an exact distribution; deterministic per seed."""
     check_whole("shots", shots, 1)
     probs = np.asarray(probs, dtype=float)
+    n = _qubit_count(probs)
     probs = probs / probs.sum()
-    n = int(round(math.log2(len(probs))))
     drawn = np.random.default_rng(rng).multinomial(shots, probs)  # a Generator is used as is
     counts = {index_bitstring(i, n): int(c) for i, c in enumerate(drawn) if c}
     return ShotHistogram(counts=counts, shots=shots)

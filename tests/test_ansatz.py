@@ -18,9 +18,10 @@ from vrpqaoa.ansatz import (
     mixer_circuit,
     prepare_initial_state,
 )
-from vrpqaoa.cli import build_problem
+from vrpqaoa.cli import NOISE_PRESETS, build_problem
 from vrpqaoa.encode import CostOperator
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance, build_constraints
+from vrpqaoa.optimize import ObjectiveKind, final_distribution
 from vrpqaoa.simcore import (
     GateOp,
     StateVector,
@@ -116,6 +117,19 @@ class TestAnsatzSpec:
         with pytest.raises(ValueError):
             AnsatzSpec(n=4, depth=1, xy_pairs=((0, 1), (1, 2)))
 
+    def test_lists_are_stored_as_tuples(self, toy):
+        # a spec is a cache key of the regime III initial state, so lists must not reach it
+        spec = AnsatzSpec.constraint_aware(toy.constraints, depth=1, lam=0.7)
+        as_lists = AnsatzSpec(
+            6, 1, 0.7, [list(pair) for pair in spec.xy_pairs],
+            [ConstraintComponent(list(c.qubits), list(c.patterns)) for c in spec.components],
+        )
+        assert as_lists == spec and hash(as_lists) == hash(spec)
+        noisy = ObjectiveKind("III", NOISE_PRESETS["paper"])
+        point = ParameterPoint((0.4,), (0.3,))
+        assert np.array_equal(final_distribution(as_lists, toy.cost, point, noisy),
+                              final_distribution(spec, toy.cost, point, noisy))
+
 
 class TestParameterPoint:
     def test_vector_round_trip(self):
@@ -125,6 +139,13 @@ class TestParameterPoint:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ParameterPoint(gamma=(0.1,), beta=())
+
+    def test_stores_float_tuples_whatever_sequence_it_is_given(self):
+        point = ParameterPoint(np.array([0.1]), np.array([0.2]))
+        assert point == ParameterPoint([0.1], [0.2]) == ParameterPoint((0.1,), (0.2,))
+        assert point.as_vector().tolist() == [0.1, 0.2]
+        assert hash(point) == hash(ParameterPoint((0.1,), (0.2,)))
+        assert ParameterPoint((1,), (0,)).gamma == (1.0,)
 
     def test_random_inside_boxes(self):
         rng = np.random.default_rng(0)

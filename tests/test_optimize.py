@@ -42,6 +42,11 @@ PAPER_NOISE = NoiseModel(p1=0.00015, p2=0.00125, p01=0.001, p10=0.001)
 ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles": 1}
 
 
+def pair_component(qubits):
+    """A one-hot component on two qubits: the pattern 01 and its complement."""
+    return ConstraintComponent(qubits, ("01", "10"))
+
+
 class TestNelderMead:
     def test_converges_on_convex_quadratic(self):
         target = np.array([0.3, -0.6])
@@ -141,8 +146,9 @@ class TestNelderMead:
 class TestObjective:
     def test_zero_depth_standard_closed_form(self, toy):
         spec = AnsatzSpec.standard(6, 0)
-        params = ParameterPoint((), ())
-        value = objective(params, spec, toy.cost, ObjectiveKind.exact(), OptimizerConfig())
+        kind = ObjectiveKind("I")
+        probs = final_distribution(spec, toy.cost, ParameterPoint((), ()), kind)
+        value = objective(probs, toy.cost, kind, OptimizerConfig())
         mean_cost = np.mean(
             [penalty_sum_value(b, toy.instance, toy.constraints, toy.qubo.penalty)
              for b in all_bitstrings(6)]
@@ -151,8 +157,9 @@ class TestObjective:
 
     def test_zero_depth_constraint_aware_closed_form(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=0, lam=0.7)
-        params = ParameterPoint((), ())
-        value = objective(params, spec, toy.cost, ObjectiveKind.exact(), OptimizerConfig())
+        kind = ObjectiveKind("I")
+        probs = final_distribution(spec, toy.cost, ParameterPoint((), ()), kind)
+        value = objective(probs, toy.cost, kind, OptimizerConfig())
         support_costs = [
             penalty_sum_value(b, toy.instance, toy.constraints, toy.qubo.penalty)
             for b in spec.support_bitstrings()
@@ -164,13 +171,13 @@ class TestObjective:
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.4,), (0.3,))
         cfg = OptimizerConfig(shots_objective=100_000, batches=1)
-        exact = objective(params, spec, toy.cost, ObjectiveKind.exact(), cfg)
-        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.exact())
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind("I"))
+        exact = objective(probs, toy.cost, ObjectiveKind("I"), cfg)
         diag = toy.cost.full_diagonal.diagonal
         variance = float(probs @ diag**2 - (probs @ diag) ** 2)
         se = math.sqrt(variance / cfg.shots_objective) / toy.cost.scale
         estimate = objective(
-            params, spec, toy.cost, ObjectiveKind.shots(), cfg, rng=np.random.default_rng(4)
+            probs, toy.cost, ObjectiveKind("II"), cfg, rng=np.random.default_rng(4)
         )
         assert abs(estimate - exact) < 3 * se
 
@@ -179,32 +186,30 @@ class TestObjective:
         # one multinomial call over every batch gives the draws and leaves the
         # generator as one call per batch does; the means sum as np.mean sums them
         spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
-        kind, cfg = ObjectiveKind.shots(), OptimizerConfig(batches=batches)
+        kind, cfg = ObjectiveKind("II"), OptimizerConfig(batches=batches)
         evaluator = compile_evaluator(spec, toy.cost, kind)
         diag, shots = toy.cost.full_diagonal.diagonal, cfg.shots_objective
         for seed in range(10):
             point = ParameterPoint.random(2, np.random.default_rng(seed))
             probs = evaluator(point.as_vector())
             rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            value = objective(point, spec, toy.cost, kind, cfg, rng, evaluator)
+            value = objective(probs, toy.cost, kind, cfg, rng)
             means = [float(reference.multinomial(shots, probs) @ diag) / shots
                      for _ in range(batches)]
             assert value == float(np.mean(means)) / toy.cost.scale
             assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_shot_kind_requires_rng(self, toy):
-        spec = AnsatzSpec.standard(6, 1)
-        with pytest.raises(ValueError):
-            objective(
-                ParameterPoint((0.1,), (0.2,)), spec, toy.cost,
-                ObjectiveKind.shots(), OptimizerConfig(),
-            )
+        spec, kind = AnsatzSpec.standard(6, 1), ObjectiveKind("II")
+        probs = final_distribution(spec, toy.cost, ParameterPoint((0.1,), (0.2,)), kind)
+        with pytest.raises(ValueError, match="shot-based objectives need a random generator"):
+            objective(probs, toy.cost, kind, OptimizerConfig())
 
     def test_noisy_kind_runs_and_shifts_distribution(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.4,), (0.3,))
-        clean = final_distribution(spec, toy.cost, params, ObjectiveKind.exact())
-        noisy = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(PAPER_NOISE))
+        clean = final_distribution(spec, toy.cost, params, ObjectiveKind("I"))
+        noisy = final_distribution(spec, toy.cost, params, ObjectiveKind("III", PAPER_NOISE))
         assert noisy.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.abs(noisy - clean).max() > 1e-6  # noise visibly acts
         assert np.abs(noisy - clean).max() < 0.05  # but stays perturbative
@@ -224,7 +229,7 @@ class TestObjective:
             (lambda toy: ObjectiveKind("II", NoiseModel(p01=0.1)), "regime II is noiseless"),
             (
                 lambda toy: compile_evaluator(
-                    AnsatzSpec.standard(5, 1), toy.cost, ObjectiveKind.noisy(PAPER_NOISE)
+                    AnsatzSpec.standard(5, 1), toy.cost, ObjectiveKind("III", PAPER_NOISE)
                 ),
                 "the ansatz has 5 qubits but the cost has 6",
             ),
@@ -304,7 +309,7 @@ class TestObjective:
             (
                 lambda toy: final_distribution(
                     AnsatzSpec.standard(5, 1), toy.cost, ParameterPoint((0.1,), (0.2,)),
-                    ObjectiveKind.noisy(PAPER_NOISE),
+                    ObjectiveKind("III", PAPER_NOISE),
                 ),
                 "the state size: the ansatz has 5 qubits but the cost has 6",
             ),
@@ -312,6 +317,42 @@ class TestObjective:
             (lambda toy: ParameterPoint((math.inf,), (0.2,)), "gamma must be a finite real number, got inf"),
             (lambda toy: ParameterPoint(("a",), (0.1,)), "gamma must be a finite real number, got 'a'"),
             (lambda toy: ParameterPoint((0.1,), (-math.inf,)), "beta must be a finite real number, got -inf"),
+            (lambda toy: ParameterPoint(0.5, 0.2), "gamma must be a sequence of angles, got 0.5"),
+            (lambda toy: ParameterPoint((0.1,), 0.2), "beta must be a sequence of angles, got 0.2"),
+            (
+                lambda toy: AnsatzSpec(6, 1, components=(pair_component((0, 6)),)),
+                r"components \(\(0, 6\),\) name a qubit outside 0..5 or twice",
+            ),
+            (
+                lambda toy: AnsatzSpec(6, 1, components=(pair_component((-1, 0)),)),
+                r"components \(\(-1, 0\),\) name a qubit outside 0..5 or twice",
+            ),
+            (
+                lambda toy: AnsatzSpec(
+                    6, 1, components=(pair_component((0, 1)), pair_component((1, 2)))
+                ),
+                r"components \(\(0, 1\), \(1, 2\)\) name a qubit outside 0..5 or twice",
+            ),
+            (
+                lambda toy: ConstraintComponent((0, 1), ("011",)),
+                "pattern '011' is not 2 binary digits",
+            ),
+            (
+                lambda toy: ConstraintComponent((0, 1), ("0a",)),
+                "pattern '0a' is not 2 binary digits",
+            ),
+            (
+                lambda toy: AnsatzSpec(6, 1, 0.5, ((0, 1, 2),)),
+                r"xy_pairs \(\(0, 1, 2\),\) must be pairs of qubits",
+            ),
+            (
+                lambda toy: sample(np.ones(3) / 3, 10, 0),
+                "probability vector length must be a power of two",
+            ),
+            (
+                lambda toy: apply_readout_confusion(np.array([]), 0.1, 0.0),
+                "probability vector length must be a power of two",
+            ),
             (lambda toy: NoiseModel(p1=True), "p1 must be a finite real number, got True"),
             (lambda toy: NoiseModel(p1="0.1"), "p1 must be a finite real number, got '0.1'"),
             (lambda toy: NoiseModel(p01=0.6), r"p01 must lie in \[0, 0.5\], got 0.6"),
@@ -352,16 +393,9 @@ class TestObjective:
         for regime in ("I", "II", "III"):
             assert ObjectiveKind(regime, NoiseModel()).noise == NoiseModel()
 
-    def test_raw_vector_gives_the_point_value(self, toy):
+    def test_evaluator_rejects_a_vector_of_the_wrong_length(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
-        point = ParameterPoint((0.4, 0.9), (0.3, 0.6))
-        kind, cfg = ObjectiveKind.noisy(PAPER_NOISE), OptimizerConfig()
-        evaluator = compile_evaluator(spec, toy.cost, kind)
-        by_point = objective(point, spec, toy.cost, kind, cfg, np.random.default_rng(1))
-        by_vector = objective(
-            point.as_vector(), spec, toy.cost, kind, cfg, np.random.default_rng(1), evaluator
-        )
-        assert by_point == by_vector
+        evaluator = compile_evaluator(spec, toy.cost, ObjectiveKind("III", PAPER_NOISE))
         with pytest.raises(ValueError, match="expected 4 angles, got 2"):
             evaluator(np.zeros(2))
 
@@ -371,7 +405,7 @@ class TestObjective:
         noise = NoiseModel(p1=0.00015, p2=0.00125)
         state = evolve(spec, toy.cost.ising, params, engine="gate", scale=toy.cost.scale,
                        noise=noise)
-        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind("III", noise))
         assert np.array_equal(probs, measure_distribution(state))
 
     # without gate noise the distribution is compile_evaluator's, which calls no evolve
@@ -393,7 +427,7 @@ class TestObjective:
         monkeypatch.setattr(optimize, "evolve", spy)
         spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.7)
         params = ParameterPoint((0.4, 0.9), (0.3, 0.6))
-        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.noisy(noise))
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind("III", noise))
         assert engines == engines_called
         state = evolve(spec, toy.cost.ising, params, engine="gate", scale=toy.cost.scale,
                        noise=noise)
@@ -408,14 +442,18 @@ class TestObjective:
         rng = np.random.default_rng(10)
         factor = 2.5
         cost_scaled = replace(toy.cost, scale=toy.cost.scale * factor)
-        cfg = OptimizerConfig()
+        cfg, kind = OptimizerConfig(), ObjectiveKind("I")
         for _ in range(10):
             pt = ParameterPoint.random(1, rng)
             compensated = ParameterPoint(
                 gamma=tuple(g / factor for g in pt.gamma), beta=pt.beta
             )
-            scaled_value = objective(pt, spec, cost_scaled, ObjectiveKind.exact(), cfg)
-            base_value = objective(compensated, spec, toy.cost, ObjectiveKind.exact(), cfg)
+            scaled_value = objective(
+                final_distribution(spec, cost_scaled, pt, kind), cost_scaled, kind, cfg
+            )
+            base_value = objective(
+                final_distribution(spec, toy.cost, compensated, kind), toy.cost, kind, cfg
+            )
             assert scaled_value == pytest.approx(base_value / factor, abs=1e-12)
 
 
@@ -463,7 +501,7 @@ class TestNoisyFold:
         for spec, per_layer in zip(specs, steps):
             layers = compile_noisy_layers(spec, problem.cost.ising, problem.cost.scale, noise, True)
             assert len(layers.plan) == 4 * per_layer
-            evaluator = compile_evaluator(spec, problem.cost, ObjectiveKind.noisy(noise))
+            evaluator = compile_evaluator(spec, problem.cost, ObjectiveKind("III", noise))
             for _ in range(5):
                 point = ParameterPoint.random(4, rng)
                 state = evolve(spec, problem.cost.ising, point, engine="gate",
@@ -486,8 +524,8 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("instance", ["toy3", "one_vehicle"])
     @pytest.mark.parametrize(
         "kind",
-        [ObjectiveKind.exact(), ObjectiveKind.noisy(NoiseModel(p01=0.02, p10=0.01)),
-         ObjectiveKind.noisy(PAPER_NOISE)],
+        [ObjectiveKind("I"), ObjectiveKind("III", NoiseModel(p01=0.02, p10=0.01)),
+         ObjectiveKind("III", PAPER_NOISE)],
         ids=["exact", "readout", "paper"],
     )
     def test_each_row_equals_the_single_vector_call(self, toy, instance, depth, kind):
@@ -517,14 +555,14 @@ def sequential_minimize(spec, cost, kind, cfg, seed):
         rng = np.random.default_rng(children[r])
         start = ParameterPoint.random(spec.depth, rng).as_vector()
         best_x, best_f, history = nelder_mead(
-            lambda vec: objective(vec, spec, cost, kind, cfg, rng, evaluator),
+            lambda vec: objective(evaluator(vec), cost, kind, cfg, rng),
             start, lower, upper, cfg.max_evals,
         )
         trace.extend((r, i, v) for i, v in enumerate(history))
         candidates.append((ParameterPoint.from_vector(best_x), best_f))
     if kind.stochastic:
-        scores = [objective(point, spec, cost, kind, cfg, np.random.default_rng(children[-1]),
-                            evaluator) for point, _ in candidates]
+        scores = [objective(evaluator(point.as_vector()), cost, kind, cfg,
+                            np.random.default_rng(children[-1])) for point, _ in candidates]
     else:
         scores = [value for _, value in candidates]
     winner = int(np.argmin(scores))
@@ -535,9 +573,9 @@ class TestLockstepRestarts:
     @pytest.mark.parametrize(
         "kind,cfg",
         [
-            (ObjectiveKind.exact(), OptimizerConfig(max_evals=60)),
-            (ObjectiveKind.shots(), OptimizerConfig(max_evals=60)),
-            (ObjectiveKind.noisy(PAPER_NOISE), OptimizerConfig(restarts=3, max_evals=30)),
+            (ObjectiveKind("I"), OptimizerConfig(max_evals=60)),
+            (ObjectiveKind("II"), OptimizerConfig(max_evals=60)),
+            (ObjectiveKind("III", PAPER_NOISE), OptimizerConfig(restarts=3, max_evals=30)),
         ],
         ids=["I", "II", "III"],
     )
@@ -570,25 +608,25 @@ class TestLockstepRestarts:
         monkeypatch.setattr(optimize, "compile_evaluator", counting)
         spec = AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7)
         cfg = OptimizerConfig(restarts=3, max_evals=150)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=4)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=4)
         assert rounds == [3] * 117 + [2] * 33
         assert [r for r, _, _ in result.trace] == [0] * 150 + [1] * 117 + [2] * 150
         assert [i for _, i, _ in result.trace] == [*range(150), *range(117), *range(150)]
         monkeypatch.undo()
-        assert sequential_minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, 4)[2] == result.trace
+        assert sequential_minimize(spec, toy.cost, ObjectiveKind("I"), cfg, 4)[2] == result.trace
 
 
 class TestMinimize:
     def test_single_restart_single_eval_returns_start(self, toy):
         spec = AnsatzSpec.standard(6, 2)
         cfg = OptimizerConfig(restarts=1, max_evals=1)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=123)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=123)
         children = np.random.SeedSequence(123).spawn(2)
         expected = ParameterPoint.random(2, np.random.default_rng(children[0]))
         assert np.allclose(result.params.as_vector(), expected.as_vector(), atol=1e-12)
         assert len(result.trace) == 1
 
-    @pytest.mark.parametrize("kind", [ObjectiveKind.exact(), ObjectiveKind.noisy(PAPER_NOISE)],
+    @pytest.mark.parametrize("kind", [ObjectiveKind("I"), ObjectiveKind("III", PAPER_NOISE)],
                              ids=["I", "III"])
     def test_zero_depth_spends_one_evaluation_per_restart(self, toy, kind):
         # a 0-dimensional simplex is one point, converged once it is evaluated
@@ -600,24 +638,25 @@ class TestMinimize:
     def test_reported_objective_is_best_evaluated(self, toy):
         spec = AnsatzSpec.standard(6, 2)
         cfg = OptimizerConfig(restarts=2, max_evals=40)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=5)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=5)
         assert result.objective == pytest.approx(min(v for _, _, v in result.trace), abs=1e-12)
 
     def test_improves_on_zero_depth_baseline(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=3, lam=0.7)
         cfg = OptimizerConfig()
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=0)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=0)
         baseline_spec = AnsatzSpec.constraint_aware(toy.constraints, depth=0, lam=0.7)
         baseline = objective(
-            ParameterPoint((), ()), baseline_spec, toy.cost, ObjectiveKind.exact(), cfg
+            final_distribution(baseline_spec, toy.cost, ParameterPoint((), ()), ObjectiveKind("I")),
+            toy.cost, ObjectiveKind("I"), cfg,
         )
         assert result.objective < baseline
 
     def test_exact_pipeline_is_reproducible(self, toy):
         spec = AnsatzSpec.standard(6, 2)
         cfg = OptimizerConfig(restarts=2, max_evals=30)
-        a = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=9)
-        b = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=9)
+        a = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=9)
+        b = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=9)
         assert a.objective == b.objective
         assert a.params == b.params
         assert a.trace == b.trace
@@ -625,15 +664,15 @@ class TestMinimize:
     def test_stochastic_pipeline_is_reproducible(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         cfg = OptimizerConfig(restarts=2, max_evals=15, shots_objective=64, batches=2)
-        a = minimize(spec, toy.cost, ObjectiveKind.shots(), cfg, seed=9)
-        b = minimize(spec, toy.cost, ObjectiveKind.shots(), cfg, seed=9)
+        a = minimize(spec, toy.cost, ObjectiveKind("II"), cfg, seed=9)
+        b = minimize(spec, toy.cost, ObjectiveKind("II"), cfg, seed=9)
         assert a.objective == b.objective
         assert a.params == b.params
 
     def test_restarts_use_distinct_streams(self, toy):
         spec = AnsatzSpec.standard(6, 2)
         cfg = OptimizerConfig(restarts=3, max_evals=5)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=2)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=2)
         first_evals = [v for r, i, v in result.trace if i == 0]
         assert len(first_evals) == 3
         assert len(set(first_evals)) == 3
@@ -654,7 +693,7 @@ class TestMinimize:
         monkeypatch.setattr(simcore, "depolarize", spy(simcore.depolarize))
         spec = AnsatzSpec.constraint_aware(toy.constraints, 2, 0.45)
         cfg = OptimizerConfig(restarts=2, max_evals=20, shots_objective=64, batches=1)
-        result = minimize(spec, toy.cost, ObjectiveKind.noisy(PAPER_NOISE), cfg, seed=3)
+        result = minimize(spec, toy.cost, ObjectiveKind("III", PAPER_NOISE), cfg, seed=3)
         assert len(result.trace) == 40
         # at most the once-per-spec initial-state recipe runs gate by gate
         assert calls.count("apply_gate") <= len(init_circuit(spec))
@@ -663,7 +702,7 @@ class TestMinimize:
     def test_trace_spans_all_restarts(self, toy):
         spec = AnsatzSpec.standard(6, 1)
         cfg = OptimizerConfig(restarts=3, max_evals=12)
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=1)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=1)
         assert {r for r, _, _ in result.trace} == {0, 1, 2}
         assert all(i < 12 for _, i, _ in result.trace)
 
@@ -673,7 +712,7 @@ class TestFinalSampling:
         point_mass = ConstraintComponent(qubits=tuple(range(6)), patterns=(FEASIBLE,))
         spec = AnsatzSpec(n=6, depth=0, components=(point_mass,))
         hist = sample(
-            final_distribution(spec, toy.cost, ParameterPoint((), ()), ObjectiveKind.exact()),
+            final_distribution(spec, toy.cost, ParameterPoint((), ()), ObjectiveKind("I")),
             256, rng=0,
         )
         assert hist.counts == {FEASIBLE: 256}
@@ -682,7 +721,7 @@ class TestFinalSampling:
         spec = AnsatzSpec.standard(6, 1)
         params = ParameterPoint((0.5,), (0.4,))
         shots = OptimizerConfig().shots_final
-        probs = final_distribution(spec, toy.cost, params, ObjectiveKind.exact())
+        probs = final_distribution(spec, toy.cost, params, ObjectiveKind("I"))
         a = sample(probs, shots, rng=3)
         b = sample(probs, shots, rng=3)
         assert a.counts == b.counts
@@ -692,9 +731,9 @@ class TestFinalSampling:
         # the most frequent sampled string for this seed
         spec = AnsatzSpec.standard(6, 3)
         cfg = OptimizerConfig()
-        result = minimize(spec, toy.cost, ObjectiveKind.exact(), cfg, seed=0)
+        result = minimize(spec, toy.cost, ObjectiveKind("I"), cfg, seed=0)
         hist = sample(
-            final_distribution(spec, toy.cost, result.params, ObjectiveKind.exact()),
+            final_distribution(spec, toy.cost, result.params, ObjectiveKind("I")),
             cfg.shots_final, rng=np.random.default_rng(0),
         )
         mode = max(hist.counts, key=hist.counts.get)

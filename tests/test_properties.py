@@ -153,7 +153,7 @@ noise_models = st.builds(
 @given(cases(), st.one_of(st.none(), noise_models))
 def test_distributions_are_probability_vectors(case, noise):
     problem, spec, point = case
-    kind = ObjectiveKind.exact() if noise is None else ObjectiveKind.noisy(noise)
+    kind = ObjectiveKind("I") if noise is None else ObjectiveKind("III", noise)
     probs = final_distribution(spec, problem.cost, point, kind)
     assert probs.shape == (1 << spec.n,)
     assert (probs >= 0).all()
@@ -175,7 +175,7 @@ readout = st.floats(min_value=0.0, max_value=0.1)
 def test_noisy_distribution_matches_textbook_density_matrix(case, gate_noise, p01, p10):
     problem, spec, point = case
     noise = NoiseModel(*gate_noise, p01=p01, p10=p10)
-    probs = final_distribution(spec, problem.cost, point, ObjectiveKind.noisy(noise))
+    probs = final_distribution(spec, problem.cost, point, ObjectiveKind("III", noise))
     cost = problem.cost
     reference = textbook_noisy_distribution(spec, cost.ising, point, cost.scale, noise)
     assert np.abs(probs - reference).max() <= 1e-12
@@ -204,7 +204,7 @@ def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
         )
     noise = NoiseModel(*gate_noise, p01=p01, p10=p10)
     assume(noise.has_gate_noise)
-    probs = compile_evaluator(spec, cost, ObjectiveKind.noisy(noise))(point.as_vector())
+    probs = compile_evaluator(spec, cost, ObjectiveKind("III", noise))(point.as_vector())
     state = evolve(spec, cost.ising, point, engine="gate", scale=cost.scale, noise=noise)
     gate = apply_readout_confusion(measure_distribution(state), p01, p10)
     assert np.abs(probs - gate).max() <= 1e-12
