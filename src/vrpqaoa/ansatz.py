@@ -28,6 +28,7 @@ from .simcore import (
     StateVector,
     _contract,
     _depolarizing_mask,
+    _kron_power,
     _ptm_terms,
     apply_gate,
 )
@@ -140,8 +141,12 @@ class AnsatzSpec:
         check_whole("n", self.n, 1)
         check_whole("depth", self.depth, 0)
         check_real("lam", self.lam, 0)
-        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.xy_pairs):
+        if not isinstance(self.xy_pairs, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.xy_pairs):
             raise ValueError(f"xy_pairs {self.xy_pairs} must be pairs of qubits")
+        if not isinstance(self.components, (list, tuple)) or not all(
+                isinstance(c, ConstraintComponent) for c in self.components):
+            raise ValueError(f"components {self.components} must be ConstraintComponents")
         # stored as tuples: hashable (a cache key), and equal whatever sequences they came as
         object.__setattr__(self, "xy_pairs", tuple(map(tuple, self.xy_pairs)))
         object.__setattr__(self, "components", tuple(self.components))
@@ -386,25 +391,46 @@ def _combine(trig: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return (trig @ terms.reshape(3, d * d)).reshape(*trig.shape[:-1], d, d)
 
 
+#: The Pauli coordinates an XY pair (a, b) keeps, as digits (a, b) with I, X, Y, Z =
+#: 0..3: II, IZ, ZI, ZZ, XX, XY, YX and YY, the strings that commute with Z_a Z_b.
+_PAIR_KEPT = np.array([[0, 0], [0, 3], [3, 0], [3, 3], [1, 1], [1, 2], [2, 1], [2, 2]])
+
+
+def _coordinates(axes: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Pauli digits of the kept coordinates of ``axes`` (first axis slowest), by qubit."""
+    rows = np.zeros((1, 0), dtype=int)
+    for axis in axes:
+        table = _PAIR_KEPT if len(axis) == 2 else np.arange(4)[:, None]
+        rows = np.hstack([np.repeat(rows, len(table), 0), np.tile(table, (len(rows), 1))])
+    return rows
+
+
 def compile_noisy_layers(
     spec: AnsatzSpec, ising: IsingCoefficients, scale: float, noise: NoiseModel, noisy_init: bool
-) -> Callable[[Sequence[float], Sequence[float]], DensityMatrix]:
-    """The gate engine's noisy p-layer loop, compiled once into fixed Pauli-transfer
-    terms: (gammas, betas) -> DensityMatrix, for ``spec.depth`` layers.
-    ``layers.plan`` holds one axis permutation per contraction of an evaluation.
+) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
+    """The gate engine's noisy p-layer loop and read-out, compiled once into fixed
+    Pauli-transfer terms: (gammas, betas) -> the measured distribution.
+    ``layers.plan`` holds, per contraction, the state's axis sizes and the
+    permutation bringing the contraction's axes first.
 
-    A depolarizing channel commutes with any unitary on its own support, so each
-    mask is folded into the rows of its gate's terms.  Every RZ follows the last
-    RZZ and meets only gates on other qubits before the mixer on its qubit, so
-    RZ(q) and its channel join that mixer block: a 16x16 block D RYY D RXX
-    (RZ x RZ) per XY pair and a 4x4 block D RX D RZ per X qubit.  Each block then
-    joins the last RZZ (in ``cost_circuit``'s order) on its support, as (B x B') G
-    or XY G, since every gate in between acts on other qubits.  An X block with
-    no RZZ on its qubit, or an XY block whose qubits are last touched by
-    different RZZs, stays a contraction of its own.  A zero coupling or field has
-    no gate and no channel.  Nothing is transposed back: each contraction brings
-    its targets to the front of the current axis order and leaves them there,
-    and one final permutation restores qubit order.
+    The state lives on axes: each XY pair (a, b) is one axis of the 8 coordinates
+    in ``_PAIR_KEPT``, every other qubit one of 4.  Each gate of a layer (RZ, RZZ,
+    and the pair's RXX and RYY) commutes with Z_a Z_b, and each depolarizing
+    channel is covariant under unitaries on its support, so a layer never mixes
+    the 8 strings that anticommute with Z_a Z_b (XI, YI, XZ, YZ, IX, IY, ZX, ZY,
+    of charge +-1 under exp(-i phi (Z_a + Z_b))) with the other 8, and the
+    read-out sees only Z-type strings: dropping them is exact whatever the start.
+
+    Each channel commutes with unitaries on its support, so it folds into the
+    rows of its gate's terms.  There is one step per nonzero RZZ, on its qubits'
+    axes, its terms embedded once onto their kept coordinates.  RZ(q) follows the
+    last RZZ, so it joins the mixer block of q's axis (D RYY D RXX (D RZ x D RZ)
+    per pair, D RX D RZ per qubit), and each block joins the last step on its
+    axis, since every gate in between acts on other axes; an axis no RZZ touches
+    is a step of its own.  A zero coupling or field has no gate and no channel.
+    Each step leaves its axes first, and the read-out matrix (the confusion
+    Kronecker power times Walsh-Hadamard) takes its columns at the Z-type
+    coordinates in the final axis order.
     """
     d1, d2 = _depolarizing_mask(1, (0,), noise.p1), _depolarizing_mask(2, (0, 1), noise.p2)
     rzz, ryy, rxx, rx = (d[:, None] * np.array(_ptm_terms(g)) for g, d in
@@ -414,53 +440,67 @@ def compile_noisy_layers(
     couplings = [(pair, c / scale) for pair, c in sorted(ising.couplings.items()) if c]
     rates = [c for _, c in couplings] + [h / scale for h in ising.fields]
     x_qubits, k, n, p = list(spec.x_qubits), len(couplings), spec.n, spec.depth
+    axes = [*spec.xy_pairs, *((q,) for q in x_qubits)]
+    sizes = [len(_PAIR_KEPT) if len(axis) == 2 else 4 for axis in axes]
+    axis_of = {q: i for i, axis in enumerate(axes) for q in axis}
 
-    # The 16x16 steps are the RZZs, then (from the identity) the XY pairs no RZZ
-    # hosts.  Step j is multiplied by singles[sides[0, j]] x singles[sides[1, j]],
-    # the blocks of the qubits it hosts (index n is the identity), then by
-    # D RYY D RXX if it holds a pair.  The X blocks no RZZ hosts follow.
-    last = {q: j for j, (pair, _) in enumerate(couplings) for q in pair}
-    steps, xy_steps = [pair for pair, _ in couplings], []
-    for a, b in spec.xy_pairs:
-        j = last[a] if a in last and last[a] == last.get(b) else len(steps)
-        steps[j:j + 1] = [(a, b)]  # a host takes the pair's order (RZZ is symmetric), or append
-        xy_steps.append(j)
-    sides = np.full((2, len(steps)), n)
-    for j in xy_steps:
-        sides[:, j] = steps[j]
-    for q in x_qubits:
-        if q in last:
-            sides[steps[last[q]].index(q), last[q]] = q
-    x_alone = [q for q in x_qubits if q not in last]
-    order, plan = list(range(n)), []
-    for axes in (steps + [(q,) for q in x_alone]) * p:
-        plan.append(tuple(order.index(q) for q in axes) + tuple(
-            i for i, q in enumerate(order) if q not in axes))
-        order = [order[i] for i in plan[-1]]
-    restore = tuple(order.index(q) for q in range(n))
-    start, shape = _recipe_state(spec, noise, noisy_init), [4] * n
-    eyes = np.broadcast_to(np.eye(4), (p, 1, 4, 4))
-    m = len(steps)  # spelled out in the reshapes: at depth 0 they hold no entry to infer it from
-    units = np.broadcast_to(np.eye(16), (p, m - k, 16, 16))
+    steps, terms = [], []  # per step: its axes, and its (A, B, C)
+    for (u, v), _ in couplings:
+        steps.append(tuple(dict.fromkeys((axis_of[u], axis_of[v]))))  # 1 axis for a pair's RZZ
+        qubits = [q for i in steps[-1] for q in axes[i]]
+        rows = _coordinates([axes[i] for i in steps[-1]])
+        gate = 4 * rows[:, qubits.index(u)] + rows[:, qubits.index(v)]
+        rest = np.delete(rows, [qubits.index(u), qubits.index(v)], 1)  # digits RZZ leaves alone
+        terms.append(rzz[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1))
+    last = {i: j for j, step in enumerate(steps) for i in step}
+    hosts = [[(i, sizes[step[0]] if pos else 1) for pos, i in enumerate(step) if last[i] == j]
+             for j, step in enumerate(steps)]  # (axis, size of the axes before it)
+    steps += [(i,) for i in range(len(axes)) if i not in last]
 
-    def layers(gammas: Sequence[float], betas: Sequence[float]) -> DensityMatrix:
+    order, plan = list(range(len(axes))), []
+    for step in steps * p:
+        perm = step + tuple(i for i in order if i not in step)
+        plan.append((tuple(sizes[i] for i in order), tuple(order.index(i) for i in perm)))
+        order = list(perm)
+    rows = _coordinates([axes[i] for i in order])
+    z_type = np.flatnonzero((rows % 3 == 0).all(1))  # I or Z on every qubit
+    bits = (rows[z_type] == 3) @ (1 << (n - 1 - np.array([q for i in order for q in axes[i]])))
+    confusion = _kron_power(n, 1.0 - noise.p01, noise.p10, noise.p01, 1.0 - noise.p10)
+    readout = (confusion @ _kron_power(n, 0.5, 0.5, 0.5, -0.5))[:, bits]
+    digits = _coordinates(axes) @ 4 ** (n - 1 - np.array([q for axis in axes for q in axis]))
+    start = _recipe_state(spec, noise, noisy_init).pauli[digits]
+    kept = 4 * _PAIR_KEPT[:, 0] + _PAIR_KEPT[:, 1]
+    ryy, rxx = (ptm[:, kept[:, None], kept] for ptm in (ryy, rxx))
+    # D RZ x D RZ per pair on its kept coordinates: gathers from the flat (n, 4, 4) blocks
+    pair_rz = [16 * np.array(spec.xy_pairs, dtype=int).reshape(-1, 2)[:, s, None, None]
+               + 4 * _PAIR_KEPT[:, s, None] + _PAIR_KEPT[:, s] for s in (0, 1)]
+
+    def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
         angles = 2 * np.concatenate([np.outer(gammas, rates), np.outer(betas, [1.0, spec.lam])], 1)
-        trig = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)], -1)
-        singles = np.concatenate([_combine(trig[:, k:-2], rz) * z_masks, eyes], 1)  # D RZ, I
-        singles[:, x_qubits] = _combine(trig[:, -1], rx)[:, None] @ singles[:, x_qubits]
-        base = np.concatenate([_combine(trig[:, :k], rzz), units], 1).reshape(p, m, 4, 64)
-        half = (singles[:, sides[0]] @ base).reshape(p, m, 4, 4, 16)  # (B x I) G, then (I x B')
-        blocks = (singles[:, sides[1], None] @ half).reshape(p, m, 16, 16)
-        if xy_steps:
+        trig = np.ones((*angles.shape, 3))  # (1, cos, sin) per angle
+        np.cos(angles, out=trig[..., 1])
+        np.sin(angles, out=trig[..., 2])
+        singles = _combine(trig[:, k:-2], rz) * z_masks  # D RZ per qubit
+        blocks = list((_combine(trig[:, -1], rx)[:, None] @ singles[:, x_qubits]).swapaxes(0, 1))
+        if spec.xy_pairs:
+            flat = singles.reshape(p, 16 * n)
             mix = _combine(trig[:, -2], ryy) @ _combine(trig[:, -2], rxx)
-            blocks[:, xy_steps] = mix[:, None] @ blocks[:, xy_steps]
-        state = start.copy()
-        pauli = state.pauli
-        for block, perm in zip([m for layer in zip(blocks, singles[:, x_alone]) for group in layer
-                                for m in group], plan):
+            blocks[:0] = (mix[:, None] @ (flat[:, pair_rz[0]] * flat[:, pair_rz[1]])).swapaxes(0, 1)
+        step_blocks = []
+        for j, host in enumerate(hosts):
+            block = _combine(trig[:, j], terms[j])
+            for i, before in host:  # (I x B x I) G: the axis's mixer block on its own factor
+                hosted = blocks[i][:, None] @ block.reshape(p, before, sizes[i], -1 if p else 0)
+                block = hosted.reshape(block.shape)  # "-1 if p": depth 0 leaves no size to infer
+            step_blocks.append(block)
+        step_blocks += [blocks[i] for (i,) in steps[k:]]
+        pauli = start
+        for (shape, perm), block in zip(plan, (s[j] for j in range(p) for s in step_blocks)):
             pauli = block @ pauli.reshape(shape).transpose(perm).reshape(len(block), -1)
-        state.pauli = pauli.reshape(shape).transpose(restore).reshape(-1)
-        return state
+        probs = np.clip(readout @ pauli.reshape(-1)[z_type], 0.0, None)
+        if not probs.sum() > 0:  # NaN, from non-finite angles
+            raise ValueError("state has no probability mass")
+        return probs / probs.sum()
 
     layers.plan = tuple(plan)
     return layers

@@ -346,6 +346,13 @@ class TestObjective:
                 r"xy_pairs \(\(0, 1, 2\),\) must be pairs of qubits",
             ),
             (
+                lambda toy: AnsatzSpec(6, 1, components=((0, 1),)),
+                r"components \(\(0, 1\),\) must be ConstraintComponents",
+            ),
+            (lambda toy: AnsatzSpec(6, 1, components=None), "components None must be"),
+            (lambda toy: AnsatzSpec(6, 1, xy_pairs=None), "xy_pairs None must be pairs of qubits"),
+            (lambda toy: AnsatzSpec(6, 1, xy_pairs=5), "xy_pairs 5 must be pairs of qubits"),
+            (
                 lambda toy: sample(np.ones(3) / 3, 10, 0),
                 "probability vector length must be a power of two",
             ),
@@ -360,6 +367,12 @@ class TestObjective:
             (lambda toy: AnsatzSpec(6, True), "depth must be a whole number, got True"),
             (
                 lambda toy: measure_distribution(StateVector(1, np.array([math.nan, 0.0]))),
+                "state has no probability mass",
+            ),
+            (
+                lambda toy: compile_evaluator(
+                    AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7), toy.cost,
+                    ObjectiveKind("III", PAPER_NOISE))([math.nan, 0.2]),
                 "state has no probability mass",
             ),
             (
@@ -466,13 +479,14 @@ def _without_couplings(problem, pairs):
 
 
 class TestNoisyFold:
-    """The compiled noisy evaluator folds each mixer block into the last RZZ on
-    its support.  Per layer on toy3 (RZZ ring 01, 05, 13, 23, 24, 45): standard
-    folds every X block (6 steps); constraint-aware folds X 0 and 1 and the XY
-    pair (4, 5), and keeps the pair (2, 3), last touched by RZZ 24 and 23, apart
-    (7 steps).  On the 1-vehicle instance the pairs (2, 4) and (0, 1) stay apart
-    and X 3 and 5 fold (8 steps); with RZZ 05 and 45 zeroed, qubit 5 has no RZZ,
-    so its X block stays apart while the pair (2, 4) folds into RZZ 24."""
+    """The compiled noisy evaluator works on axes, an XY pair's 8 kept Pauli
+    coordinates or another qubit's 4, with one step per nonzero RZZ; each axis's
+    mixer block folds into the last RZZ on the axis.  Per layer on toy3 (RZZ
+    ring 01, 05, 13, 23, 24, 45): standard folds every X block (6 steps), and so
+    does constraint-aware, whose pair (2, 3) is last touched by RZZ 24 and (4, 5)
+    by RZZ 45 (6 steps).  On the 1-vehicle instance every axis is touched too
+    (6 steps each); with RZZ 05 and 45 zeroed, qubit 5 has no RZZ, so its X
+    block is a step of its own (5 steps each)."""
 
     def problems(self, toy):
         one_vehicle = build_problem(VrpInstance.from_dict(ONE_VEHICLE))
@@ -484,7 +498,7 @@ class TestNoisyFold:
 
     @pytest.mark.parametrize(
         "instance,steps",
-        [("toy3", (6, 7)), ("one_vehicle", (6, 8)), ("one_vehicle_bare_q5", (5, 6))],
+        [("toy3", (6, 6)), ("one_vehicle", (6, 6)), ("one_vehicle_bare_q5", (5, 5))],
     )
     @pytest.mark.parametrize(
         "noise",
@@ -510,13 +524,15 @@ class TestNoisyFold:
                 assert np.abs(evaluator(point.as_vector()) - gate).max() <= 1e-12
 
     def test_toy3_contraction_count_at_depth_four(self, toy):
-        # 60 (standard) and 52 (constraint-aware) before the fold and the dense read-out
-        for spec, count in (
-            (AnsatzSpec.standard(6, 4), 24),
-            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 28),
+        # 60 (standard) and 52 (constraint-aware) before the fold and the dense read-out,
+        # 24 and 28 before the pair axes; the pairs (2, 3) and (4, 5) keep 8 of 16 each
+        for spec, count, coordinates in (
+            (AnsatzSpec.standard(6, 4), 24, 4096),
+            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 24, 1024),
         ):
             layers = compile_noisy_layers(spec, toy.cost.ising, toy.cost.scale, PAPER_NOISE, True)
             assert len(layers.plan) == count
+            assert {math.prod(shape) for shape, _ in layers.plan} == {coordinates}
 
 
 class TestStackedEvaluation:

@@ -21,6 +21,7 @@ from vrpqaoa.ansatz import (
     BETA_BOUNDS,
     GAMMA_BOUNDS,
     AnsatzSpec,
+    ConstraintComponent,
     InfeasibleStructureError,
     ParameterPoint,
     derive_constraint_groups,
@@ -70,6 +71,24 @@ def cases(draw, max_depth=3):
         spec = AnsatzSpec.constraint_aware(problem.constraints, depth, lam)
     else:
         spec = AnsatzSpec.standard(problem.qubo.n, depth)
+    return problem, spec, draw(params(depth))
+
+
+@st.composite
+def pair_cases(draw):
+    """A 3-node problem's XY pairs and lam with another start state: no
+    components (H on every qubit, so each pair starts with charge-+-1 Pauli
+    coordinates, which the evaluator drops), or a ("00", "11") component on
+    one pair (which starts with charge +-2 instead)."""
+    problem = draw(problems())
+    depth = draw(st.integers(min_value=1, max_value=4))
+    lam = draw(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
+    pairs = AnsatzSpec.constraint_aware(problem.constraints, depth, lam).xy_pairs
+    assume(pairs)
+    components = ()
+    if draw(st.booleans()):
+        components = (ConstraintComponent(draw(st.sampled_from(pairs)), ("00", "11")),)
+    spec = AnsatzSpec(problem.qubo.n, depth, lam, pairs, components)
     return problem, spec, draw(params(depth))
 
 
@@ -181,17 +200,12 @@ def test_noisy_distribution_matches_textbook_density_matrix(case, gate_noise, p0
     assert np.abs(probs - reference).max() <= 1e-12
 
 
-@PROPERTY_SETTINGS
-@given(
-    cases(max_depth=4),
-    st.one_of(st.just((paper.p1, paper.p2)), st.tuples(depolarizing, depolarizing)),
-    readout,
-    readout,
-    st.booleans(),
-)
-def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
-    case, gate_noise, p01, p10, zero_terms
-):
+gate_noises = st.one_of(st.just((paper.p1, paper.p2)), st.tuples(depolarizing, depolarizing))
+
+
+def check_compiled_noisy_evaluator(case, gate_noise, p01, p10, zero_terms):
+    """The compiled noisy evaluator equals the gate engine and the textbook
+    density matrix to 1e-12."""
     problem, spec, point = case
     cost = problem.cost
     if zero_terms:  # a zero field and a zero coupling: no gate and no channel
@@ -210,6 +224,20 @@ def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
     assert np.abs(probs - gate).max() <= 1e-12
     reference = textbook_noisy_distribution(spec, cost.ising, point, cost.scale, noise)
     assert np.abs(probs - reference).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cases(max_depth=4), gate_noises, readout, readout, st.booleans())
+def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
+    case, gate_noise, p01, p10, zero_terms
+):
+    check_compiled_noisy_evaluator(case, gate_noise, p01, p10, zero_terms)
+
+
+@PROPERTY_SETTINGS
+@given(pair_cases(), gate_noises, readout, readout, st.booleans())
+def test_compiled_noisy_evaluator_is_exact_from_any_start(case, gate_noise, p01, p10, zero_terms):
+    check_compiled_noisy_evaluator(case, gate_noise, p01, p10, zero_terms)
 
 
 @PROPERTY_SETTINGS
