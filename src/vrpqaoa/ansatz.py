@@ -47,17 +47,19 @@ class InfeasibleStructureError(ValueError):
 
 @dataclass(frozen=True)
 class ConstraintComponent:
-    """Connected group of one-hot constraints with its admissible patterns."""
+    """Connected one-hot constraints: their qubits and one pattern, its complement admitted too."""
 
     qubits: tuple[int, ...]
-    patterns: tuple[str, ...]
+    pattern: str
 
     def __post_init__(self) -> None:
-        for bits in self.patterns:
-            if not isinstance(bits, str) or len(bits) != len(self.qubits) or bits.strip("01"):
-                raise ValueError(f"pattern {bits!r} is not {len(self.qubits)} binary digits")
+        if not isinstance(self.qubits, (list, tuple)):
+            raise ValueError(f"component qubits {self.qubits!r} must be a list or tuple")
+        bits, size = self.pattern, len(self.qubits)
+        if not isinstance(bits, str) or bits.strip("01") or not 0 < len(bits) == size:
+            raise ValueError(
+                f"pattern {bits!r} must be {size or 'one or more'} binary digits, one per qubit")
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "patterns", tuple(self.patterns))
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,10 @@ def derive_constraint_groups(cs: ConstraintSet) -> ConstraintGroups:
 
     Each constraint x_a + x_b = 1 fixes x_b = 1 - x_a, so a connected group
     of them is solved by 2-colouring its graph from its lowest qubit (set to
-    0): the admissible patterns are that colouring and its complement, or
-    none if the group holds an odd cycle.  XY pairs come from a greedy
-    matching over the selected constraints in their appearance order.
+    0): the component's pattern is that colouring (its complement is the
+    other solution), and a group holding an odd cycle has none.  XY pairs
+    come from a greedy matching over the selected constraints in their
+    appearance order.
     """
     selected = [
         c
@@ -108,7 +111,7 @@ def derive_constraint_groups(cs: ConstraintSet) -> ConstraintGroups:
             raise InfeasibleStructureError(f"constraints {labels} admit no assignment")
         qubits = tuple(sorted(members))
         pattern = "".join(str(colour[q]) for q in qubits)
-        components.append(ConstraintComponent(qubits, (pattern, _complement(pattern))))
+        components.append(ConstraintComponent(qubits, pattern))
 
     matched: set[int] = set()
     xy_pairs: list[tuple[int, int]] = []
@@ -125,10 +128,10 @@ class AnsatzSpec:
     """One member of the hybrid XY-X ansatz family.
 
     The initial state is the equal superposition over every assignment that
-    matches one pattern of each component (free qubits uniform); each mixer
-    layer is an XY block per pair plus an X rotation of weight ``lam`` on
-    every other qubit.  Standard QAOA is the member with no components, no
-    pairs and ``lam`` = 1.
+    matches each component's pattern or its complement (free qubits
+    uniform); each mixer layer is an XY block per pair plus an X rotation of
+    weight ``lam`` on every other qubit.  Standard QAOA is the member with no
+    components, no pairs and ``lam`` = 1.
     """
 
     n: int
@@ -153,6 +156,8 @@ class AnsatzSpec:
         for name, groups in (("xy_pairs", self.xy_pairs),
                              ("components", tuple(c.qubits for c in self.components))):
             qubits = [q for group in groups for q in group]
+            for q in qubits:  # first: True == 1 would pass the range check
+                check_whole(f"{name} {groups} qubit", q)
             if not all(0 <= q < self.n for q in qubits) or len(set(qubits)) != len(qubits):
                 raise ValueError(f"{name} {groups} name a qubit outside 0..{self.n - 1} or twice")
 
@@ -181,11 +186,12 @@ class AnsatzSpec:
 
     def support_bitstrings(self) -> tuple[str, ...]:
         """Basis states of the initial superposition, in index order."""
+        admitted = [(c.qubits, (c.pattern, _complement(c.pattern))) for c in self.components]
         bitstrings = (index_bitstring(i, self.n) for i in range(1 << self.n))
         return tuple(
             bits
             for bits in bitstrings
-            if all("".join(bits[q] for q in c.qubits) in c.patterns for c in self.components)
+            if all("".join(bits[q] for q in qubits) in either for qubits, either in admitted)
         )
 
     @cached_property
@@ -261,24 +267,20 @@ class ParameterPoint:
 def init_circuit(spec: AnsatzSpec) -> list[GateOp]:
     """Gate recipe preparing the ansatz's initial state from |0...0>.
 
-    Each component, a pattern plus its complement, is prepared as a
-    GHZ-style pair via H plus a CNOT chain from its first qubit, then X
-    gates map the all-zeros branch onto the pattern whose first bit is 0
-    (its complement rides along on the other branch).  Unconstrained
-    qubits get a plain H.
+    Each component is prepared as a GHZ-style pair via H plus a CNOT chain
+    from its first qubit, then an X wherever its pattern has a 1 maps the
+    all-zeros branch onto the pattern and the all-ones branch onto its
+    complement.  Unconstrained qubits get a plain H.
     """
     gates: list[GateOp] = []
     covered: set[int] = set()
     for comp in spec.components:
-        if len(comp.patterns) != 2 or comp.patterns[1] != _complement(comp.patterns[0]):
-            raise ValueError(f"gate recipe needs a pattern and its complement, got {comp}")
-        ref = min(comp.patterns)
         first = comp.qubits[0]
         gates.append(GateOp("h", (first,)))
         for q in comp.qubits[1:]:
             gates.append(GateOp("cnot", (first, q)))
-        for pos, q in enumerate(comp.qubits):
-            if ref[pos] == "1":
+        for q, bit in zip(comp.qubits, comp.pattern):
+            if bit == "1":
                 gates.append(GateOp("x", (q,)))
         covered.update(comp.qubits)
     for q in range(spec.n):

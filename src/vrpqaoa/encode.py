@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -133,7 +132,7 @@ def penalize(
     )
 
 
-def qubo_value(qubo: QuboProblem, bits: str | Sequence[int]) -> float:
+def qubo_value(qubo: QuboProblem, bits: str) -> float:
     values = _as_values(bits, qubo.n)
     total = qubo.constant
     for q, coeff in enumerate(qubo.linear):
@@ -186,7 +185,7 @@ def to_ising(qubo: QuboProblem, convention: str) -> IsingCoefficients:
     )
 
 
-def ising_value(ising: IsingCoefficients, bits: str | Sequence[int]) -> float:
+def ising_value(ising: IsingCoefficients, bits: str) -> float:
     values = _as_values(bits, ising.n)
     spins = [ising.spin(v) for v in values]
     total = ising.constant

@@ -38,11 +38,12 @@ class InstanceTooLargeError(ValueError):
     """Instance exceeds the supported size."""
 
 
-def check_whole(name: str, value, minimum: int) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``."""
+def check_whole(name: str, value, minimum: int | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a non-bool integer,
+    and at least ``minimum`` if one is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
@@ -256,24 +257,20 @@ def build_constraints(inst: VrpInstance) -> ConstraintSet:
     return ConstraintSet(n=idx.n, constraints=tuple(unique))
 
 
-def _as_values(bits: str | Sequence[int], n: int) -> list[int]:
-    if isinstance(bits, str):
-        if len(bits) != n:
-            raise ValueError(f"expected {n} bits, got {len(bits)}")
-        return [1 if ch == "1" else 0 for ch in bits]
-    values = list(bits)
-    if len(values) != n:
-        raise ValueError(f"expected {n} bits, got {len(values)}")
-    return values
+def _as_values(bits: str, n: int) -> list[int]:
+    """The 0/1 values of a string of ``n`` binary digits, variable 0 first."""
+    if not isinstance(bits, str) or len(bits) != n or bits.strip("01"):
+        raise ValueError(f"bitstring {bits!r} is not {n} binary digits")
+    return [int(ch) for ch in bits]
 
 
-def is_feasible(bits: str | Sequence[int], cs: ConstraintSet) -> bool:
+def is_feasible(bits: str, cs: ConstraintSet) -> bool:
     """True iff the assignment satisfies every constraint."""
     values = _as_values(bits, cs.n)
     return all(c.holds(values) for c in cs)
 
 
-def route_cost(bits: str | Sequence[int], inst: VrpInstance) -> float:
+def route_cost(bits: str, inst: VrpInstance) -> float:
     """Total distance of the active links, ignoring feasibility."""
     idx = LinkVariableIndex.for_nodes(inst.node_count)
     values = _as_values(bits, idx.n)

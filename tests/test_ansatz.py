@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,11 +64,8 @@ def pattern_violation_probability(probs: np.ndarray, pairs) -> float:
 class TestDeriveConstraintGroups:
     def test_toy_components(self, toy):
         groups = derive_constraint_groups(toy.constraints)
-        by_qubits = {c.qubits: c.patterns for c in groups.components}
-        assert by_qubits == {
-            (X01, X20, X21): ("001", "110"),
-            (X02, X10, X12): ("001", "110"),
-        }
+        by_qubits = {c.qubits: c.pattern for c in groups.components}
+        assert by_qubits == {(X01, X20, X21): "001", (X02, X10, X12): "001"}
 
     def test_toy_matching(self, toy):
         groups = derive_constraint_groups(toy.constraints)
@@ -122,7 +120,7 @@ class TestAnsatzSpec:
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=1, lam=0.7)
         as_lists = AnsatzSpec(
             6, 1, 0.7, [list(pair) for pair in spec.xy_pairs],
-            [ConstraintComponent(list(c.qubits), list(c.patterns)) for c in spec.components],
+            [ConstraintComponent(list(c.qubits), c.pattern) for c in spec.components],
         )
         assert as_lists == spec and hash(as_lists) == hash(spec)
         noisy = ObjectiveKind("III", NOISE_PRESETS["paper"])
@@ -193,13 +191,20 @@ class TestInitialState:
         expected[0b001] = expected[0b110] = 1 / math.sqrt(2)
         assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("patterns", [("00", "01"), ("10", "11")])
-    def test_recipe_rejects_non_complementary_patterns(self, patterns):
-        component = ConstraintComponent((0, 1), patterns)
-        spec = AnsatzSpec(n=2, depth=0, components=(component,))
-        with pytest.raises(ValueError, match="a pattern and its complement") as err:
-            init_circuit(spec)
-        assert str(component) in str(err.value)
+    @pytest.mark.parametrize(
+        "qubits,pattern",
+        [
+            ((0, 1), ("00", "01")),  # a set of patterns, not one pattern
+            ((0, 1), ("10", "11")),
+            ((), ""),  # no qubits
+            ((0, 1), ""),
+            ((0, 1), "011"),
+            ((0, 1), "0a"),
+        ],
+    )
+    def test_component_rejects_all_but_one_pattern_at_construction(self, qubits, pattern):
+        with pytest.raises(ValueError, match=re.escape(f"pattern {pattern!r} must be")):
+            ConstraintComponent(qubits, pattern)
 
 
 class TestMixer:

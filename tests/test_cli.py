@@ -148,6 +148,7 @@ class TestExperimentConfig:
              "optimizer must be an OptimizerConfig, got {'restarts': 1}"),
             ({"seeds": 5}, "seeds must be a tuple or list, got 5"),
             ({"lambdas": 0.7}, "lambdas must be a tuple or list, got 0.7"),
+            ({"seeds": ()}, "need at least one seed"),
         ],
     )
     def test_direct_construction_is_checked_naming_the_field(self, fields, message):
@@ -421,6 +422,7 @@ class TestCommandLine:
             ({"master_seed": -5}, "master_seed must be >= 0, got -5"),
             ({"regime": "II", "noise": {"p01": 0.01}}, "regime II is noiseless"),
             ({"seeds": -2}, "seed count must be >= 1, got -2"),
+            ({"regime": "III", "noise": "loud"}, "unknown noise preset 'loud'"),
         ],
     )
     def test_run_rejects_bad_config_file(self, tmp_path, capsys, config, message):

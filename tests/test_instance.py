@@ -7,7 +7,9 @@ from conftest import FEASIBLE, FEASIBLE_COST, X01, X02, X10, X12, X20, X21, all_
 from vrpqaoa.instance import (
     AT_LEAST,
     EQUAL,
+    ConstraintSet,
     InstanceTooLargeError,
+    LinearConstraint,
     LinkVariableIndex,
     VrpInstance,
     brute_force_optimum,
@@ -15,7 +17,7 @@ from vrpqaoa.instance import (
     is_feasible,
     route_cost,
 )
-from vrpqaoa.encode import penalize, qubo_value, to_cost_operator
+from vrpqaoa.encode import ising_value, penalize, qubo_value, to_cost_operator
 
 
 #: Instance payloads that are not a valid instance, with the error they raise.
@@ -29,6 +31,7 @@ MALFORMED_INSTANCES = [
      "distance [0][1] must be a finite real number, got '1'"),
     ({"distances": [[0, 1], [1, 0]], "vehicles": 1, "extra": 3}, "unknown instance key 'extra'"),
     ({"distances": [[0, 1], [1, 0]], "vehicles": True}, "vehicles must be a whole number, got True"),
+    ({"distances": [[0]], "vehicles": 1}, "need at least a depot and one customer"),
 ]
 
 
@@ -172,6 +175,18 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             is_feasible("10101", toy.constraints)
 
+    @pytest.mark.parametrize("bits", ["11101x", "abcdef", [1, 1, 1, 0, 1, 0]])
+    def test_a_bitstring_is_a_string_of_binary_digits(self, toy, bits):
+        evaluators = (
+            lambda: is_feasible(bits, toy.constraints),
+            lambda: route_cost(bits, toy.instance),
+            lambda: qubo_value(toy.qubo, bits),
+            lambda: ising_value(toy.cost.ising, bits),
+        )
+        for evaluate in evaluators:
+            with pytest.raises(ValueError, match=re.escape(f"bitstring {bits!r} is not 6 binary")):
+                evaluate()
+
 
 class TestRouteCost:
     def test_feasible_route_cost(self, toy_instance):
@@ -189,6 +204,15 @@ class TestRouteCost:
 
 
 class TestBruteForce:
+    def test_contradictory_constraints_leave_nothing_feasible(self, toy):
+        # x0 + x1 = 1 and x0 + x1 = 0 cannot both hold
+        contradiction = (LinearConstraint((0, 1), 1, EQUAL), LinearConstraint((0, 1), 0, EQUAL))
+        cs = ConstraintSet(6, contradiction)
+        oracle = brute_force_optimum(toy.instance, cs, toy.cost.full_diagonal.diagonal)
+        assert (oracle.feasible_count, oracle.feasible_optima) == (0, ())
+        assert oracle.feasible_cost == math.inf
+        assert oracle.qubo_argmin == toy.oracle.qubo_argmin
+
     def test_feasible_optimum(self, toy):
         oracle = toy.oracle
         assert oracle.feasible_optima == (FEASIBLE,)

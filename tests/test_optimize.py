@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FEASIBLE, all_bitstrings, penalty_sum_value
 from vrpqaoa.ansatz import (
+    CONSTRAINT_AWARE,
     AnsatzSpec,
     ConstraintComponent,
     ParameterPoint,
@@ -14,9 +15,10 @@ from vrpqaoa.ansatz import (
     evolve,
     init_circuit,
 )
-from vrpqaoa.cli import build_problem
-from vrpqaoa.encode import penalize
-from vrpqaoa.instance import VrpInstance
+from vrpqaoa.cli import build_problem, run_single
+from vrpqaoa.encode import CostOperator, QuboProblem, penalize, to_cost_operator
+from vrpqaoa.instance import (BRUTE_FORCE_LIMIT, EQUAL, ConstraintSet, LinearConstraint,
+                              VrpInstance)
 from vrpqaoa.optimize import (
     ObjectiveKind,
     OptimizerConfig,
@@ -32,6 +34,7 @@ from vrpqaoa.simcore import (
     DensityMatrix,
     NoiseModel,
     StateVector,
+    apply_diagonal_phase,
     apply_readout_confusion,
     depolarize,
     measure_distribution,
@@ -43,8 +46,8 @@ ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles":
 
 
 def pair_component(qubits):
-    """A one-hot component on two qubits: the pattern 01 and its complement."""
-    return ConstraintComponent(qubits, ("01", "10"))
+    """A one-hot component on two qubits: the pattern 01 (its complement 10 admitted too)."""
+    return ConstraintComponent(qubits, "01")
 
 
 class TestNelderMead:
@@ -334,12 +337,32 @@ class TestObjective:
                 r"components \(\(0, 1\), \(1, 2\)\) name a qubit outside 0..5 or twice",
             ),
             (
-                lambda toy: ConstraintComponent((0, 1), ("011",)),
-                "pattern '011' is not 2 binary digits",
+                lambda toy: ConstraintComponent((0, 1), "011"),
+                "pattern '011' must be 2 binary digits, one per qubit",
             ),
             (
-                lambda toy: ConstraintComponent((0, 1), ("0a",)),
-                "pattern '0a' is not 2 binary digits",
+                lambda toy: ConstraintComponent((0, 1), "0a"),
+                "pattern '0a' must be 2 binary digits, one per qubit",
+            ),
+            (
+                lambda toy: ConstraintComponent(None, "01"),
+                "component qubits None must be a list or tuple",
+            ),
+            (
+                lambda toy: AnsatzSpec(6, 1, 0.7, ((True, 3),)),
+                r"xy_pairs \(\(True, 3\),\) qubit must be a whole number, got True",
+            ),
+            (
+                lambda toy: AnsatzSpec(6, 1, 0.7, ((0.0, 1.0),)),
+                r"xy_pairs \(\(0.0, 1.0\),\) qubit must be a whole number, got 0.0",
+            ),
+            (
+                lambda toy: AnsatzSpec(6, 1, 0.7, (("a", "b"),)),
+                r"xy_pairs \(\('a', 'b'\),\) qubit must be a whole number, got 'a'",
+            ),
+            (
+                lambda toy: AnsatzSpec(6, 1, components=(ConstraintComponent((True, 3), "01"),)),
+                r"components \(\(True, 3\),\) qubit must be a whole number, got True",
             ),
             (
                 lambda toy: AnsatzSpec(6, 1, 0.5, ((0, 1, 2),)),
@@ -395,6 +418,53 @@ class TestObjective:
             (
                 lambda toy: penalize(toy.instance, toy.constraints, "400"),
                 "penalty must be a finite real number, got '400'",
+            ),
+            (
+                lambda toy: penalize(toy.instance, ConstraintSet(2, ())),
+                "constraint set does not match the instance's variable count",
+            ),
+            (
+                lambda toy: ParameterPoint.from_vector([0.1, 0.2, 0.3]),
+                "parameter vector length must be even",
+            ),
+            (lambda toy: StateVector(2, np.zeros(3)), "amplitude array has wrong length"),
+            (lambda toy: StateVector.from_support(2, []), "support must be nonempty"),
+            (
+                lambda toy: depolarize(DensityMatrix(3), (0, 1, 2), 0.1),
+                "depolarize expects 1 or 2 target qubits",
+            ),
+            (
+                lambda toy: apply_diagonal_phase(
+                    StateVector(2), CostOperator(3, np.zeros(8)), 0.1, 1.0),
+                "cost diagonal does not match the state size",
+            ),
+            (lambda toy: LinearConstraint((0, 1), 1, "less"), "unknown relation 'less'"),
+            (lambda toy: LinearConstraint((0, 0), 1, EQUAL), "repeated variable in constraint"),
+            (
+                lambda toy: ConstraintSet(2, (LinearConstraint((0, 2), 1, EQUAL, "edge"),)),
+                "constraint 'edge' references variable out of range",
+            ),
+            (
+                lambda toy: QuboProblem(2, 0.0, (1.0,), {}, 1.0),
+                "linear coefficient count must equal n",
+            ),
+            (
+                lambda toy: QuboProblem(2, 0.0, (1.0, 1.0), {(1, 0): 1.0}, 1.0),
+                r"quadratic keys must be upper-triangular \(i < j\)",
+            ),
+            (
+                lambda toy: QuboProblem(2, 0.0, (1.0, 1.0), {(1, 1): 1.0}, 1.0),
+                r"quadratic keys must be upper-triangular \(i < j\)",
+            ),
+            (
+                lambda toy: to_cost_operator(QuboProblem(
+                    BRUTE_FORCE_LIMIT + 1, 0.0, (0.0,) * (BRUTE_FORCE_LIMIT + 1), {}, 1.0)),
+                f"{BRUTE_FORCE_LIMIT + 1} variables exceeds the enumeration limit",
+            ),
+            (
+                lambda toy: run_single(toy, CONSTRAINT_AWARE, None, 1, 0, ObjectiveKind("I"),
+                                       OptimizerConfig(), 0),
+                "constraint-aware runs need a lambda value",
             ),
         ],
     )
@@ -725,13 +795,14 @@ class TestMinimize:
 
 class TestFinalSampling:
     def test_one_hot_distribution_concentrates(self, toy):
-        point_mass = ConstraintComponent(qubits=tuple(range(6)), patterns=(FEASIBLE,))
-        spec = AnsatzSpec(n=6, depth=0, components=(point_mass,))
+        # one 6-qubit component: its pattern and the complement, |111010> + |000101>
+        pair_mass = ConstraintComponent(qubits=tuple(range(6)), pattern=FEASIBLE)
+        spec = AnsatzSpec(n=6, depth=0, components=(pair_mass,))
         hist = sample(
             final_distribution(spec, toy.cost, ParameterPoint((), ()), ObjectiveKind("I")),
             256, rng=0,
         )
-        assert hist.counts == {FEASIBLE: 256}
+        assert sum(hist.counts.get(bits, 0) for bits in (FEASIBLE, "000101")) == 256
 
     def test_deterministic_given_seed(self, toy):
         spec = AnsatzSpec.standard(6, 1)

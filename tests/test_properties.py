@@ -78,8 +78,9 @@ def cases(draw, max_depth=3):
 def pair_cases(draw):
     """A 3-node problem's XY pairs and lam with another start state: no
     components (H on every qubit, so each pair starts with charge-+-1 Pauli
-    coordinates, which the evaluator drops), or a ("00", "11") component on
-    one pair (which starts with charge +-2 instead)."""
+    coordinates, which the evaluator drops), or a component of any 2-bit
+    pattern on one pair (00 or 11 starts with charge +-2 instead, 01 or 10
+    with charge 0)."""
     problem = draw(problems())
     depth = draw(st.integers(min_value=1, max_value=4))
     lam = draw(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
@@ -87,8 +88,28 @@ def pair_cases(draw):
     assume(pairs)
     components = ()
     if draw(st.booleans()):
-        components = (ConstraintComponent(draw(st.sampled_from(pairs)), ("00", "11")),)
+        pattern = draw(st.sampled_from(["00", "01", "10", "11"]))
+        components = (ConstraintComponent(draw(st.sampled_from(pairs)), pattern),)
     spec = AnsatzSpec(problem.qubo.n, depth, lam, pairs, components)
+    return problem, spec, draw(params(depth))
+
+
+@st.composite
+def component_cases(draw, max_depth=3):
+    """A problem with a spec of random disjoint components on its qubits, and
+    angles: each component of any size from 1, on any qubits in any order,
+    with any pattern (so either first bit); no XY pairs."""
+    problem = draw(problems())
+    n, depth = problem.qubo.n, draw(st.integers(min_value=1, max_value=max_depth))
+    lam = draw(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
+    order, components, start = draw(st.permutations(range(n))), [], 0
+    while start < n:
+        size = draw(st.integers(min_value=1, max_value=n - start))
+        if draw(st.booleans()):  # otherwise these qubits stay free
+            pattern = draw(st.text("01", min_size=size, max_size=size))
+            components.append(ConstraintComponent(order[start:start + size], pattern))
+        start += size
+    spec = AnsatzSpec(n, depth, lam, (), components)
     return problem, spec, draw(params(depth))
 
 
@@ -115,13 +136,14 @@ def test_constraint_groups_match_brute_force(cs):
             derive_constraint_groups(cs)
         return
     components = derive_constraint_groups(cs).components
-    for comp in components:
-        first, second = comp.patterns
-        assert first[0] == "0"
-        assert second == "".join("1" if b == "0" else "0" for b in first)
+    assert all(comp.pattern[0] == "0" for comp in components)
     assert sorted(q for comp in components for q in comp.qubits) == constrained
+    admitted = [
+        (comp.pattern, "".join("1" if b == "0" else "0" for b in comp.pattern))
+        for comp in components
+    ]
     derived = set()
-    for choice in itertools.product(*(comp.patterns for comp in components)):
+    for choice in itertools.product(*admitted):
         value = {
             q: int(b) for comp, bits in zip(components, choice) for q, b in zip(comp.qubits, bits)
         }
@@ -130,7 +152,7 @@ def test_constraint_groups_match_brute_force(cs):
 
 
 @PROPERTY_SETTINGS
-@given(cases())
+@given(st.one_of(cases(), component_cases()))
 def test_loaded_initial_state_equals_recipe(case):
     _, spec, _ = case
     loaded = prepare_initial_state(spec).amplitudes
@@ -169,7 +191,7 @@ noise_models = st.builds(
 
 
 @PROPERTY_SETTINGS
-@given(cases(), st.one_of(st.none(), noise_models))
+@given(st.one_of(cases(), component_cases()), st.one_of(st.none(), noise_models))
 def test_distributions_are_probability_vectors(case, noise):
     problem, spec, point = case
     kind = ObjectiveKind("I") if noise is None else ObjectiveKind("III", noise)
@@ -235,13 +257,15 @@ def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
 
 
 @PROPERTY_SETTINGS
-@given(pair_cases(), gate_noises, readout, readout, st.booleans())
+@given(st.one_of(pair_cases(), component_cases(max_depth=4)), gate_noises, readout, readout,
+       st.booleans())
 def test_compiled_noisy_evaluator_is_exact_from_any_start(case, gate_noise, p01, p10, zero_terms):
     check_compiled_noisy_evaluator(case, gate_noise, p01, p10, zero_terms)
 
 
 @PROPERTY_SETTINGS
-@given(cases(max_depth=4), st.sampled_from(["I", "II", "III"]), readout, readout)
+@given(st.one_of(cases(max_depth=4), component_cases(max_depth=4)),
+       st.sampled_from(["I", "II", "III"]), readout, readout)
 def test_noiseless_evaluator_is_the_exact_engine(case, regime, p01, p10):
     problem, spec, point = case
     kind = ObjectiveKind(regime, NoiseModel(p01=p01, p10=p10) if regime == "III" else None)
