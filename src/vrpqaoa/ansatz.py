@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -388,51 +388,83 @@ def compile_exact_layers(
 
 
 def _combine(trig: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """A + cos B + sin C, batched: ``trig`` (..., 3) is (1, cos, sin), ``terms`` (3, d, d)."""
-    d = terms.shape[-1]
-    return (trig @ terms.reshape(3, d * d)).reshape(*trig.shape[:-1], d, d)
+    """sum_t trig[..., t] terms[t], batched: ``trig`` (..., T) holds the weights, such as
+    (1, cos, sin) of A + cos B + sin C, and ``terms`` is (T, d, d)."""
+    t, d = terms.shape[0], terms.shape[-1]
+    return (trig @ terms.reshape(t, d * d)).reshape(*trig.shape[:-1], d, d)
 
 
-#: The Pauli coordinates an XY pair (a, b) keeps, as digits (a, b) with I, X, Y, Z =
-#: 0..3: II, IZ, ZI, ZZ, XX, XY, YX and YY, the strings that commute with Z_a Z_b.
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 9 weights a_s b_t of two (..., 3) weight triples, as (..., 9): those of the 9
+    terms of a product or Kronecker product of two gates."""
+    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], 9)
+
+
+#: The Pauli strings an XY pair (a, b) shares with Z_a Z_b, as digits (a, b) with I, X, Y, Z =
+#: 0..3: II, IZ, ZI, ZZ, XX, XY, YX and YY.
 _PAIR_KEPT = np.array([[0, 0], [0, 3], [3, 0], [3, 3], [1, 1], [1, 2], [2, 1], [2, 2]])
+
+#: An XY pair's 6 kept coordinates, as rows over those strings: II, IZ, ZI, ZZ, XX+YY and XY-YX.
+#: Coordinate c leads with string c, and its other string (XX+YY, XY-YX) is of the same type.
+_PAIR_BASIS = np.eye(6, 8)
+_PAIR_BASIS[4, 7], _PAIR_BASIS[5, 6] = 1.0, -1.0
+
+#: Per axis length (1 for a qubit, 2 for an XY pair): the Pauli strings its coordinates
+#: combine, and the coordinates as rows over them.
+_AXIS_BASES = {1: (np.arange(4)[:, None], np.eye(4)), 2: (_PAIR_KEPT, _PAIR_BASIS)}
 
 
 def _coordinates(axes: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Pauli digits of the kept coordinates of ``axes`` (first axis slowest), by qubit."""
+    """Pauli digits of the strings the coordinates of ``axes`` combine (first axis slowest), by
+    qubit."""
     rows = np.zeros((1, 0), dtype=int)
     for axis in axes:
-        table = _PAIR_KEPT if len(axis) == 2 else np.arange(4)[:, None]
+        table = _AXIS_BASES[len(axis)][0]
         rows = np.hstack([np.repeat(rows, len(table), 0), np.tile(table, (len(rows), 1))])
     return rows
+
+
+def _restrict(terms: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Terms over Pauli strings, on the coordinates given as rows of ``basis``: V M V^+, where
+    V^+ = V^T scaled by 1 / |row|^2 (1 or 1/2: exact) maps the coordinates back."""
+    return basis @ terms @ (basis.T / (basis**2).sum(1))
 
 
 def compile_noisy_layers(
     spec: AnsatzSpec, ising: IsingCoefficients, scale: float, noise: NoiseModel, noisy_init: bool
 ) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
     """The gate engine's noisy p-layer loop and read-out, compiled once into fixed
-    Pauli-transfer terms: (gammas, betas) -> the measured distribution.
-    ``layers.plan`` holds, per contraction, the state's axis sizes and the
-    permutation bringing the contraction's axes first.
+    Pauli-transfer terms: (gammas, betas), each of shape (..., p), -> measured
+    distributions of shape (..., 2^n), one per row.  ``layers.plan`` holds, per
+    contraction, the state's axis sizes, the permutation bringing the contraction's
+    axes first, and their sizes after it.
 
-    The state lives on axes: each XY pair (a, b) is one axis of the 8 coordinates
-    in ``_PAIR_KEPT``, every other qubit one of 4.  Each gate of a layer (RZ, RZZ,
-    and the pair's RXX and RYY) commutes with Z_a Z_b, and each depolarizing
-    channel is covariant under unitaries on its support, so a layer never mixes
-    the 8 strings that anticommute with Z_a Z_b (XI, YI, XZ, YZ, IX, IY, ZX, ZY,
-    of charge +-1 under exp(-i phi (Z_a + Z_b))) with the other 8, and the
-    read-out sees only Z-type strings: dropping them is exact whatever the start.
+    The state lives on axes: each XY pair (a, b) is one axis of the 6 coordinates of
+    ``_PAIR_BASIS``, every other qubit one of 4.  Every gate of a layer (RZ, RZZ and
+    the pair's RYY RXX = exp(-i beta (XX + YY))) and each depolarizing channel, which
+    is covariant under unitaries on its support, commutes with exp(-i phi (Z_a + Z_b)).
+    So a layer keeps the pair's Pauli strings apart by their charge under it: the 8
+    that anticommute with Z_a Z_b (charge +-1), XX-YY and XY+YX (charge +-2), and the
+    6 kept ones (charge 0), and the read-out sees only charge-0 Z-type strings:
+    dropping the others is exact whatever the start.  Each term is restricted to the
+    kept coordinates once (``_restrict``); RXX alone does not conserve charge, so the
+    pair's mixer is restricted as the product D RYY D RXX.
 
-    Each channel commutes with unitaries on its support, so it folds into the
-    rows of its gate's terms.  There is one step per nonzero RZZ, on its qubits'
-    axes, its terms embedded once onto their kept coordinates.  RZ(q) follows the
-    last RZZ, so it joins the mixer block of q's axis (D RYY D RXX (D RZ x D RZ)
-    per pair, D RX D RZ per qubit), and each block joins the last step on its
-    axis, since every gate in between acts on other axes; an axis no RZZ touches
-    is a step of its own.  A zero coupling or field has no gate and no channel.
-    Each step leaves its axes first, and the read-out matrix (the confusion
-    Kronecker power times Walsh-Hadamard) takes its columns at the Z-type
-    coordinates in the final axis order.
+    Each channel commutes with unitaries on its support, so it folds into the rows
+    of its gate's terms.  There is one step per nonzero RZZ, on its qubits' axes.
+    RZ(q) follows the last RZZ, so it joins the mixer block of q's axis (D RYY D RXX
+    (D RZ x D RZ) per pair, D RX D RZ per qubit), and each block joins the last step
+    on its axis, since every gate in between acts on other axes; an axis no RZZ
+    touches is a step of its own.  A zero coupling or field has no gate and no
+    channel.  Before its first step an axis carries only the coordinates that are
+    nonzero in the start state (I and X per qubit for standard QAOA), and after its
+    last step only its Z-type ones.  Each step leaves its axes first, and the read-out
+    matrix (the confusion Kronecker power times Walsh-Hadamard) has a column per
+    final coordinate.
+
+    Every row's blocks are built in one pass, with the rows as the outer stack axis,
+    and each contraction is one stacked matmul over them: numpy runs one product per
+    row, of the shape a one-row call has, so every row has a one-row call's bits.
     """
     d1, d2 = _depolarizing_mask(1, (0,), noise.p1), _depolarizing_mask(2, (0, 1), noise.p2)
     rzz, ryy, rxx, rx = (d[:, None] * np.array(_ptm_terms(g)) for g, d in
@@ -440,10 +472,11 @@ def compile_noisy_layers(
     rz = np.array(_ptm_terms("rz"))  # each qubit's mask multiplies it per evaluation
     z_masks = np.array([np.where(h, d1, 1.0)[:, None] for h in ising.fields])
     couplings = [(pair, c / scale) for pair, c in sorted(ising.couplings.items()) if c]
-    rates = [c for _, c in couplings] + [h / scale for h in ising.fields]
+    rates = np.array([c for _, c in couplings] + [h / scale for h in ising.fields])
     x_qubits, k, n, p = list(spec.x_qubits), len(couplings), spec.n, spec.depth
     axes = [*spec.xy_pairs, *((q,) for q in x_qubits)]
-    sizes = [len(_PAIR_KEPT) if len(axis) == 2 else 4 for axis in axes]
+    bases = [_AXIS_BASES[len(axis)][1] for axis in axes]
+    sizes = [len(basis) for basis in bases]
     axis_of = {q: i for i, axis in enumerate(axes) for q in axis}
 
     steps, terms = [], []  # per step: its axes, and its (A, B, C)
@@ -453,56 +486,104 @@ def compile_noisy_layers(
         rows = _coordinates([axes[i] for i in steps[-1]])
         gate = 4 * rows[:, qubits.index(u)] + rows[:, qubits.index(v)]
         rest = np.delete(rows, [qubits.index(u), qubits.index(v)], 1)  # digits RZZ leaves alone
-        terms.append(rzz[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1))
+        basis = reduce(np.kron, [bases[i] for i in steps[-1]])
+        embedded = rzz[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1)
+        terms.append(_restrict(embedded, basis))
+    touched = {i for step in steps for i in step}
+    steps += [(i,) for i in range(len(axes)) if i not in touched]
     last = {i: j for j, step in enumerate(steps) for i in step}
-    hosts = [[(i, sizes[step[0]] if pos else 1) for pos, i in enumerate(step) if last[i] == j]
-             for j, step in enumerate(steps)]  # (axis, size of the axes before it)
-    steps += [(i,) for i in range(len(axes)) if i not in last]
+    hosts = []  # per RZZ step: (axis, the step's rows split around the axis) of each block it hosts
+    for j, step in enumerate(steps[:k]):
+        dim = math.prod(sizes[i] for i in step)
+        hosts.append([(i, (before, sizes[i], dim // before // sizes[i] * dim))
+                      for i, before in zip(step, (1, sizes[step[0]])) if last[i] == j])
 
-    order, plan = list(range(len(axes))), []
-    for step in steps * p:
-        perm = step + tuple(i for i in order if i not in step)
-        plan.append((tuple(sizes[i] for i in order), tuple(order.index(i) for i in perm)))
-        order = list(perm)
-    rows = _coordinates([axes[i] for i in order])
-    z_type = np.flatnonzero((rows % 3 == 0).all(1))  # I or Z on every qubit
-    bits = (rows[z_type] == 3) @ (1 << (n - 1 - np.array([q for i in order for q in axes[i]])))
-    confusion = _kron_power(n, 1.0 - noise.p01, noise.p10, noise.p01, 1.0 - noise.p10)
-    readout = (confusion @ _kron_power(n, 0.5, 0.5, 0.5, -0.5))[:, bits]
     digits = _coordinates(axes) @ 4 ** (n - 1 - np.array([q for axis in axes for q in axis]))
     start = _recipe_state(spec, noise, noisy_init).pauli[digits]
-    kept = 4 * _PAIR_KEPT[:, 0] + _PAIR_KEPT[:, 1]
-    ryy, rxx = (ptm[:, kept[:, None], kept] for ptm in (ryy, rxx))
-    # D RZ x D RZ per pair on its kept coordinates: gathers from the flat (n, 4, 4) blocks
-    pair_rz = [16 * np.array(spec.xy_pairs, dtype=int).reshape(-1, 2)[:, s, None, None]
-               + 4 * _PAIR_KEPT[:, s, None] + _PAIR_KEPT[:, s] for s in (0, 1)]
+    start = start.reshape([len(_AXIS_BASES[len(axis)][0]) for axis in axes])
+    for i, basis in enumerate(bases):
+        start = np.moveaxis(np.tensordot(basis, start, (1, i)), 0, i)
+    kept = [np.flatnonzero(np.moveaxis(start, i, 0).reshape(sizes[i], -1).any(1))
+            for i in range(len(axes))]  # the coordinates an axis carries, until its first step
+    start = start[np.ix_(*kept)].reshape(-1)
+    weights = 1 << (n - 1 - np.arange(n))  # each qubit's bit in an outcome's index
+    z_bits = []  # per axis and coordinate: its Z qubits' bits, NaN unless it is Z-type
+    for axis, size in zip(axes, sizes):
+        lead = _AXIS_BASES[len(axis)][0][:size]  # each coordinate's leading string
+        z_bits.append(np.where((lead % 3 == 0).all(1), (lead == 3) @ weights[list(axis)], np.nan))
+
+    def flat(step: tuple[int, ...]) -> np.ndarray:
+        """The kept coordinates of the step's axes, as positions in its block."""
+        grid = np.ix_(*[kept[i] for i in step])
+        return np.ravel_multi_index(grid, [sizes[i] for i in step]).reshape(-1)
+
+    order, plan, picks = list(range(len(axes))), [], []
+    for layer in range(p):
+        for j, step in enumerate(steps):
+            perm = step + tuple(i for i in order if i not in step)
+            shape, into = tuple(len(kept[i]) for i in order), flat(step)
+            for i in step:  # after its last step, an axis carries only what the read-out sees
+                final = layer == p - 1 and last[i] == j
+                kept[i] = np.flatnonzero(~np.isnan(z_bits[i])) if final else np.arange(sizes[i])
+            out = flat(step)
+            full = len(out) == len(into) == math.prod(sizes[i] for i in step)
+            moved = tuple(order.index(i) for i in perm)
+            pick = (slice(None), layer) if full else (slice(None), layer, out[:, None], into)
+            picks.append((j, pick, shape, (0, *(1 + m for m in moved))))  # in the (rows, ...) stack
+            plan.append((shape, moved, tuple(len(kept[i]) for i in step)))
+            order = list(perm)
+    bits = sum(np.ix_(*[z_bits[i][kept[i]] for i in order])).reshape(-1)
+    seen = ~np.isnan(bits)  # every final coordinate, unless no step ran (depth 0)
+    confusion = _kron_power(n, 1.0 - noise.p01, noise.p10, noise.p01, 1.0 - noise.p10)
+    readout = np.zeros((1 << n, len(bits)))
+    walsh = _kron_power(n, 0.5, 0.5, 0.5, -0.5)
+    readout[:, seen] = (confusion @ walsh)[:, bits[seen].astype(int)]
+
+    x_fields, x_masks = k + np.array(x_qubits, dtype=int), z_masks[x_qubits]
+    a_fields, b_fields = k + np.array(spec.xy_pairs, dtype=int).reshape(-1, 2).T
+    kept16 = 4 * _PAIR_KEPT[:, 0] + _PAIR_KEPT[:, 1]  # of the 16 strings of (a, b)
+    mix, pair_rz = (  # D RYY D RXX, and RZ x RZ, each as 9 terms
+        _restrict(gates.reshape(9, 16, 16)[:, kept16[:, None], kept16], _PAIR_BASIS)
+        for gates in (ryy[:, None] @ rxx, np.einsum("sac,tbd->stabcd", rz, rz)))
+    # D_a x D_b is 1 - lam on the strings with support on the qubit, so it takes one value
+    # on the strings of each kept coordinate: that on its leading string
+    pair_masks = np.array([np.kron(z_masks[a], z_masks[b])[kept16[:6]] for a, b in spec.xy_pairs])
 
     def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
-        angles = 2 * np.concatenate([np.outer(gammas, rates), np.outer(betas, [1.0, spec.lam])], 1)
-        trig = np.ones((*angles.shape, 3))  # (1, cos, sin) per angle
+        batch = np.shape(gammas)[:-1]
+        rows = math.prod(batch)
+        gammas, betas = (np.asarray(a, dtype=float).reshape(rows, p, 1) for a in (gammas, betas))
+        angles = 2 * np.concatenate([gammas * rates, betas * [1.0, spec.lam]], -1)
+        trig = np.ones((*angles.shape, 3))  # (1, cos, sin) per row, layer and angle
         np.cos(angles, out=trig[..., 1])
         np.sin(angles, out=trig[..., 2])
-        singles = _combine(trig[:, k:-2], rz) * z_masks  # D RZ per qubit
-        blocks = list((_combine(trig[:, -1], rx)[:, None] @ singles[:, x_qubits]).swapaxes(0, 1))
+        singles = _combine(trig[..., x_fields, :], rz) * x_masks  # D RZ per X qubit
+        x_blocks = _combine(trig[..., -1, :], rx)[..., None, :, :] @ singles
+        blocks = list(np.moveaxis(x_blocks, 2, 0))  # per axis: (rows, p, size, size)
         if spec.xy_pairs:
-            flat = singles.reshape(p, 16 * n)
-            mix = _combine(trig[:, -2], ryy) @ _combine(trig[:, -2], rxx)
-            blocks[:0] = (mix[:, None] @ (flat[:, pair_rz[0]] * flat[:, pair_rz[1]])).swapaxes(0, 1)
+            zz = _combine(_products(trig[..., a_fields, :], trig[..., b_fields, :]), pair_rz)
+            zz *= pair_masks  # D RZ x D RZ per pair
+            beta = trig[..., -2, :]
+            pair_blocks = _combine(_products(beta, beta), mix)[..., None, :, :] @ zz
+            blocks[:0] = np.moveaxis(pair_blocks, 2, 0)
         step_blocks = []
         for j, host in enumerate(hosts):
-            block = _combine(trig[:, j], terms[j])
-            for i, before in host:  # (I x B x I) G: the axis's mixer block on its own factor
-                hosted = blocks[i][:, None] @ block.reshape(p, before, sizes[i], -1 if p else 0)
-                block = hosted.reshape(block.shape)  # "-1 if p": depth 0 leaves no size to infer
+            block = _combine(trig[..., j, :], terms[j])
+            for i, split in host:  # (I x B x I) G: the axis's mixer block on its own factor
+                block = (blocks[i][..., None, :, :] @ block.reshape(rows, p, *split)).reshape(
+                    block.shape)
             step_blocks.append(block)
         step_blocks += [blocks[i] for (i,) in steps[k:]]
-        pauli = start
-        for (shape, perm), block in zip(plan, (s[j] for j in range(p) for s in step_blocks)):
-            pauli = block @ pauli.reshape(shape).transpose(perm).reshape(len(block), -1)
-        probs = np.clip(readout @ pauli.reshape(-1)[z_type], 0.0, None)
-        if not probs.sum() > 0:  # NaN, from non-finite angles
+        state = np.broadcast_to(start, (rows, len(start)))
+        for j, pick, shape, moved in picks:
+            block = step_blocks[j][pick]
+            state = block @ state.reshape(rows, *shape).transpose(moved).reshape(
+                rows, block.shape[-1], -1)
+        probs = np.clip(readout @ state.reshape(rows, -1, 1), 0.0, None)[..., 0]
+        total = probs.sum(-1, keepdims=True)
+        if not (total > 0).all():  # NaN, from non-finite angles
             raise ValueError("state has no probability mass")
-        return probs / probs.sum()
+        return (probs / total).reshape(*batch, 1 << n)
 
     layers.plan = tuple(plan)
     return layers

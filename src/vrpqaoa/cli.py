@@ -341,8 +341,19 @@ def write_plot_csv(rows: list[dict], regime: str, path: str) -> None:
                 fh.write(",".join([regime, row["model"], row["lambda"], metric, *stats]) + "\n")
 
 
+#: The files and directories a sweep writes into its output directory.
+SWEEP_OUTPUTS = ("runs", "traces", "aggregate.csv", "plot_data.csv")
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Execute the configured sweep and persist all result files."""
+    """Execute the configured sweep and persist all result files.
+
+    An output directory that already holds a sweep's outputs is refused before
+    anything is written: files of two sweeps in one tree would look alike."""
+    used = [name for name in SWEEP_OUTPUTS if os.path.exists(os.path.join(cfg.output_dir, name))]
+    if used:
+        raise ValueError(f"output directory {cfg.output_dir} already holds {', '.join(used)}; "
+                         "give a new one")
     problem = build_problem(load_instance(cfg.instance_path))
     kind = regime_objective_kind(cfg.regime, cfg.noise)
 

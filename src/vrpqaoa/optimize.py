@@ -81,8 +81,8 @@ class ObjectiveKind:
 def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind) -> Evaluator:
     """``probs(vecs)``: the measurement distributions at Nelder-Mead's raw vectors
     (the gammas, then the betas), (..., 2p) -> (..., 2^n), compiled once per run.
-    It runs the exact engine's loop on every row at once, or under gate noise the
-    compiled noisy layers and read-out row by row, whose reference is
+    Both engines evolve every row in one call: the exact engine's loop, or under
+    gate noise the compiled noisy layers and read-out, whose reference is
     :func:`final_distribution`'s gate engine."""
     spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
@@ -96,15 +96,14 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
         angles = np.asarray(vecs, dtype=float)
         if angles.shape[-1] != 2 * p:
             raise ValueError(f"expected {2 * p} angles, got {angles.shape[-1]}")
-        if noisy:
-            rows = angles.reshape(math.prod(angles.shape[:-1]), 2 * p)
-            out = [layers(row[:p], row[p:]) for row in rows]  # the read-out included
-        else:
-            out = measure_distribution(layers(angles[..., :p], angles[..., p:]))
-            if noise is None:
-                return out
-            dists = out.reshape(-1, out.shape[-1])
-            out = [apply_readout_confusion(d, noise.p01, noise.p10) for d in dists]
+        out = layers(angles[..., :p], angles[..., p:])
+        if noisy:  # the read-out included
+            return out
+        out = measure_distribution(out)
+        if noise is None:
+            return out
+        dists = out.reshape(-1, out.shape[-1])
+        out = [apply_readout_confusion(d, noise.p01, noise.p10) for d in dists]
         return np.array(out).reshape(*angles.shape[:-1], -1)
 
     return probs

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ from vrpqaoa.optimize import OptimizerConfig
 from vrpqaoa.simcore import NoiseModel, sample
 
 FAST_OPT = {"restarts": 1, "max_evals": 12}
+
+
+def tree_bytes(root) -> dict:
+    """Every file under ``root``, by its relative path, with its bytes."""
+    root = Path(root)
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -241,14 +249,34 @@ class TestRunExperiment:
         assert [line.split(",")[3] for line in plot_lines[1:]] == ["p_opt", "gap", "rank"] * 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        trees = []
+        for name in ("first", "second"):
+            cfg = tiny_config(tmp_path / name, save_traces=True)
+            run_experiment(cfg)
+            trees.append(tree_bytes(cfg.output_dir))
+        assert len(trees[0]) == 4 + 4 + 2  # run records, traces and the two CSVs
+        assert trees[0] == trees[1]
+
+    def test_a_used_output_directory_is_refused_and_left_unchanged(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         run_experiment(cfg)
-        with open(os.path.join(cfg.output_dir, "aggregate.csv"), "rb") as fh:
-            first = fh.read()
-        run_experiment(cfg)
-        with open(os.path.join(cfg.output_dir, "aggregate.csv"), "rb") as fh:
-            second = fh.read()
-        assert first == second
+        before = tree_bytes(cfg.output_dir)
+        message = f"output directory {cfg.output_dir} already holds runs, aggregate.csv, plot_data.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(dataclasses.replace(cfg, lambdas=(0.9,)))
+        argv = ["run", "--instance", toy_instance_path(), "--out", cfg.output_dir]
+        assert main(argv) == 2
+        assert cfg.output_dir in capsys.readouterr().err
+        assert tree_bytes(cfg.output_dir) == before
+
+    @pytest.mark.parametrize("name", ["runs", "traces", "aggregate.csv", "plot_data.csv"])
+    def test_each_sweep_output_marks_a_directory_used(self, tmp_path, name):
+        cfg = tiny_config(tmp_path)
+        os.makedirs(cfg.output_dir)
+        open(os.path.join(cfg.output_dir, name), "w").close()
+        with pytest.raises(ValueError, match=f"already holds {name};"):
+            run_experiment(cfg)
+        assert os.listdir(cfg.output_dir) == [name]
 
     def test_pool_is_no_larger_than_the_task_count(self, monkeypatch):
         sizes = []
@@ -468,10 +496,7 @@ class TestCommandLine:
             config_path.write_text(json.dumps(config))
             out = tmp_path / name
             assert main(["run", "--config", str(config_path), "--out", str(out)] + flags) == 0
-            outputs[name] = {
-                str(path.relative_to(out)): path.read_bytes()
-                for path in sorted(out.rglob("*")) if path.is_file()
-            }
+            outputs[name] = tree_bytes(out)
         assert len(outputs["empty"]) == 3
         assert outputs["defaults"] == outputs["empty"]
 

@@ -398,6 +398,12 @@ class TestObjective:
                     ObjectiveKind("III", PAPER_NOISE))([math.nan, 0.2]),
                 "state has no probability mass",
             ),
+            (  # one NaN row of a stacked call
+                lambda toy: compile_evaluator(
+                    AnsatzSpec.standard(6, 1), toy.cost,
+                    ObjectiveKind("III", PAPER_NOISE))([[0.4, 0.2], [0.1, math.nan], [0.3, 0.5]]),
+                "state has no probability mass",
+            ),
             (
                 lambda toy: apply_readout_confusion(np.array([1.0, 0.0]), 0.7, 0.0),
                 r"p01 must lie in \[0, 0.5\], got 0.7",
@@ -549,9 +555,11 @@ def _without_couplings(problem, pairs):
 
 
 class TestNoisyFold:
-    """The compiled noisy evaluator works on axes, an XY pair's 8 kept Pauli
+    """The compiled noisy evaluator works on axes, an XY pair's 6 charge-0 Pauli
     coordinates or another qubit's 4, with one step per nonzero RZZ; each axis's
-    mixer block folds into the last RZZ on the axis.  Per layer on toy3 (RZZ
+    mixer block folds into the last RZZ on the axis.  Before its first step an axis
+    carries only the start's nonzero coordinates (I and X per qubit for standard
+    QAOA), and after its last one only its Z-type ones.  Per layer on toy3 (RZZ
     ring 01, 05, 13, 23, 24, 45): standard folds every X block (6 steps), and so
     does constraint-aware, whose pair (2, 3) is last touched by RZZ 24 and (4, 5)
     by RZZ 45 (6 steps).  On the 1-vehicle instance every axis is touched too
@@ -594,15 +602,22 @@ class TestNoisyFold:
                 assert np.abs(evaluator(point.as_vector()) - gate).max() <= 1e-12
 
     def test_toy3_contraction_count_at_depth_four(self, toy):
-        # 60 (standard) and 52 (constraint-aware) before the fold and the dense read-out,
-        # 24 and 28 before the pair axes; the pairs (2, 3) and (4, 5) keep 8 of 16 each
-        for spec, count, coordinates in (
-            (AnsatzSpec.standard(6, 4), 24, 4096),
-            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 24, 1024),
+        # 60 (standard) and 52 (constraint-aware) contractions before the fold and the
+        # dense read-out, 24 and 28 before the pair axes.  Each contraction counts the
+        # larger of the state's sizes before and after it: 4096 each for standard and
+        # 1024 for constraint-aware before the trims and the charge-0 pairs (6 of 16)
+        for spec, total, middle in (
+            (AnsatzSpec.standard(6, 4), 73216, 4096),
+            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 12192, 576),
         ):
             layers = compile_noisy_layers(spec, toy.cost.ising, toy.cost.scale, PAPER_NOISE, True)
-            assert len(layers.plan) == count
-            assert {math.prod(shape) for shape, _ in layers.plan} == {coordinates}
+            assert len(layers.plan) == 24
+            coordinates = []
+            for shape, perm, after in layers.plan:
+                rest = math.prod(shape) // math.prod(shape[i] for i in perm[:len(after)])
+                coordinates.append(max(math.prod(shape), rest * math.prod(after)))
+            assert sum(coordinates) == total
+            assert coordinates[6:18] == [middle] * 12  # layers 2 and 3: no trim
 
 
 class TestStackedEvaluation:

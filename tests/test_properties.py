@@ -225,19 +225,22 @@ def test_noisy_distribution_matches_textbook_density_matrix(case, gate_noise, p0
 gate_noises = st.one_of(st.just((paper.p1, paper.p2)), st.tuples(depolarizing, depolarizing))
 
 
+def without_terms(cost):
+    """The cost with its first field and first coupling zero: no gate and no channel."""
+    ising = cost.ising
+    first = min(ising.couplings, default=None)
+    couplings = {**ising.couplings, **({} if first is None else {first: 0.0})}
+    fields = (0.0,) + ising.fields[1:]
+    return dataclasses.replace(
+        cost, ising=dataclasses.replace(ising, fields=fields, couplings=couplings)
+    )
+
+
 def check_compiled_noisy_evaluator(case, gate_noise, p01, p10, zero_terms):
     """The compiled noisy evaluator equals the gate engine and the textbook
     density matrix to 1e-12."""
     problem, spec, point = case
-    cost = problem.cost
-    if zero_terms:  # a zero field and a zero coupling: no gate and no channel
-        ising = cost.ising
-        first = min(ising.couplings, default=None)
-        couplings = {**ising.couplings, **({} if first is None else {first: 0.0})}
-        fields = (0.0,) + ising.fields[1:]
-        cost = dataclasses.replace(
-            cost, ising=dataclasses.replace(ising, fields=fields, couplings=couplings)
-        )
+    cost = without_terms(problem.cost) if zero_terms else problem.cost
     noise = NoiseModel(*gate_noise, p01=p01, p10=p10)
     assume(noise.has_gate_noise)
     probs = compile_evaluator(spec, cost, ObjectiveKind("III", noise))(point.as_vector())
@@ -261,6 +264,30 @@ def test_compiled_noisy_evaluator_matches_gate_engine_and_textbook(
        st.booleans())
 def test_compiled_noisy_evaluator_is_exact_from_any_start(case, gate_noise, p01, p10, zero_terms):
     check_compiled_noisy_evaluator(case, gate_noise, p01, p10, zero_terms)
+
+
+@pytest.mark.parametrize("family", [cases(), pair_cases(), component_cases()],
+                         ids=["ansaetze", "pairs", "components"])
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(gate_noises, readout, readout, st.booleans(), st.integers(min_value=1, max_value=5),
+       st.data())
+def test_every_row_of_a_stacked_noisy_call_matches_the_textbook(
+    family, gate_noise, p01, p10, zero_terms, rows, data
+):
+    """k rows in one compiled noisy call, k = 1..5: each is the textbook density matrix's
+    distribution to 1e-12.  A pair case's uniform start has a nonzero XX-YY part, which the
+    evaluator drops."""
+    problem, spec, _ = data.draw(family)
+    cost = without_terms(problem.cost) if zero_terms else problem.cost
+    noise = NoiseModel(*gate_noise, p01=p01, p10=p10)
+    assume(noise.has_gate_noise)
+    points = [data.draw(params(spec.depth)) for _ in range(rows)]
+    probs = compile_evaluator(spec, cost, ObjectiveKind("III", noise))(
+        np.array([point.as_vector() for point in points]))
+    assert probs.shape == (rows, 1 << spec.n)
+    for point, row in zip(points, probs):
+        reference = textbook_noisy_distribution(spec, cost.ising, point, cost.scale, noise)
+        assert np.abs(row - reference).max() <= 1e-12
 
 
 @PROPERTY_SETTINGS
