@@ -378,11 +378,11 @@ def compile_exact_layers(
         # per row, so every row has the bits of a single-state call; one wide
         # (2^n, 2k) product would not.  A complex product goes to OpenBLAS
         # zgemv, whose threads stall when processes share the cores.
-        state = np.broadcast_to(start, (k, dim, 1))
+        state = start  # the first cost phase broadcasts it over the rows
         for cost_phase, mixer_phase in zip(cost_phases[..., None], mixer_phases[..., None]):
             state = (basis @ (state * cost_phase).view(float)).view(complex)
             state = (basis @ (state * mixer_phase).view(float)).view(complex)
-        return (state if p else state.copy()).reshape(*batch, dim)
+        return (state if p else np.tile(start, (k, 1, 1))).reshape(*batch, dim)
 
     return layers
 
@@ -430,6 +430,17 @@ def _restrict(terms: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ terms @ (basis.T / (basis**2).sum(1))
 
 
+def _rzz_terms(rzz: np.ndarray, axes: Sequence[tuple[int, ...]], u: int, v: int) -> np.ndarray:
+    """RZZ(u, v)'s terms ``rzz`` over the 16 strings of (u, v), embedded on the coordinates of
+    ``axes`` (first axis slowest), which hold u and v."""
+    qubits = [q for axis in axes for q in axis]
+    rows = _coordinates(axes)
+    gate = 4 * rows[:, qubits.index(u)] + rows[:, qubits.index(v)]
+    rest = np.delete(rows, [qubits.index(u), qubits.index(v)], 1)  # digits RZZ leaves alone
+    embedded = rzz[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1)
+    return _restrict(embedded, reduce(np.kron, [_AXIS_BASES[len(axis)][1] for axis in axes]))
+
+
 def compile_noisy_layers(
     spec: AnsatzSpec, ising: IsingCoefficients, scale: float, noise: NoiseModel, noisy_init: bool
 ) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
@@ -451,16 +462,21 @@ def compile_noisy_layers(
     pair's mixer is restricted as the product D RYY D RXX.
 
     Each channel commutes with unitaries on its support, so it folds into the rows
-    of its gate's terms.  There is one step per nonzero RZZ, on its qubits' axes.
-    RZ(q) follows the last RZZ, so it joins the mixer block of q's axis (D RYY D RXX
-    (D RZ x D RZ) per pair, D RX D RZ per qubit), and each block joins the last step
-    on its axis, since every gate in between acts on other axes; an axis no RZZ
-    touches is a step of its own.  A zero coupling or field has no gate and no
-    channel.  Before its first step an axis carries only the coordinates that are
-    nonzero in the start state (I and X per qubit for standard QAOA), and after its
-    last step only its Z-type ones.  Each step leaves its axes first, and the read-out
-    matrix (the confusion Kronecker power times Walsh-Hadamard) has a column per
-    final coordinate.
+    of its gate's terms.  There is one step per nonzero RZZ across two axes, on
+    them.  An XY pair's own RZZ commutes with all 6 of the pair's coordinates, so
+    only its channel acts, the constant mask diag(1, 1 - p2, ...), and it is no
+    step: the mask folds into the next operation on the pair's axis, the next RZZ
+    step's terms (on the right, on the pair's factor) or else the pair's mixer
+    block, whose D RZ x D RZ it commutes with.  RZ(q) follows the last RZZ, so it
+    joins the mixer block of q's axis (D RYY D RXX (D RZ x D RZ) per pair, D RX D RZ
+    per qubit), and each block joins the last step on its axis, since every gate in
+    between acts on other axes; an axis no step touches is a step of its own.  A
+    zero coupling or field has no gate and no channel.  Before its first step an
+    axis carries only the coordinates that are nonzero in the start state (I and X
+    per qubit for standard QAOA), and after its last step only its Z-type ones.  The
+    first step reads the start permuted and reshaped once per compile; each step
+    leaves its axes first, and the read-out matrix (the confusion Kronecker power
+    times Walsh-Hadamard) has a column per final coordinate.
 
     Every row's blocks are built in one pass, with the rows as the outer stack axis,
     and each contraction is one stacked matmul over them: numpy runs one product per
@@ -471,24 +487,28 @@ def compile_noisy_layers(
                          (("rzz", d2), ("ryy", d2), ("rxx", d2), ("rx", d1)))
     rz = np.array(_ptm_terms("rz"))  # each qubit's mask multiplies it per evaluation
     z_masks = np.array([np.where(h, d1, 1.0)[:, None] for h in ising.fields])
-    couplings = [(pair, c / scale) for pair, c in sorted(ising.couplings.items()) if c]
-    rates = np.array([c for _, c in couplings] + [h / scale for h in ising.fields])
-    x_qubits, k, n, p = list(spec.x_qubits), len(couplings), spec.n, spec.depth
+    x_qubits, n, p = list(spec.x_qubits), spec.n, spec.depth
     axes = [*spec.xy_pairs, *((q,) for q in x_qubits)]
     bases = [_AXIS_BASES[len(axis)][1] for axis in axes]
     sizes = [len(basis) for basis in bases]
     axis_of = {q: i for i, axis in enumerate(axes) for q in axis}
+    kept16 = 4 * _PAIR_KEPT[:, 0] + _PAIR_KEPT[:, 1]  # of the 16 strings of (a, b)
 
-    steps, terms = [], []  # per step: its axes, and its (A, B, C)
-    for (u, v), _ in couplings:
-        steps.append(tuple(dict.fromkeys((axis_of[u], axis_of[v]))))  # 1 axis for a pair's RZZ
-        qubits = [q for i in steps[-1] for q in axes[i]]
-        rows = _coordinates([axes[i] for i in steps[-1]])
-        gate = 4 * rows[:, qubits.index(u)] + rows[:, qubits.index(v)]
-        rest = np.delete(rows, [qubits.index(u), qubits.index(v)], 1)  # digits RZZ leaves alone
-        basis = reduce(np.kron, [bases[i] for i in steps[-1]])
-        embedded = rzz[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1)
-        terms.append(_restrict(embedded, basis))
+    steps, terms, rates = [], [], []  # per step: its axes, its (A, B, C) and its angle's rate
+    owed = {}  # per pair axis: its own RZZ's channel, until the next operation on the axis
+    for (u, v), c in sorted(ising.couplings.items()):
+        if not c:
+            continue
+        step = tuple(dict.fromkeys((axis_of[u], axis_of[v])))
+        if len(step) == 1:  # a pair's own RZZ: ZZ commutes with its 6 coordinates, so B = C = 0
+            owed[step[0]] = d2[kept16[:6]]  # and A is its channel's mask, diag(1, 1 - p2, ...)
+            continue
+        masks = [owed.pop(i, np.ones(sizes[i])) for i in step]  # the owed channels act first
+        terms.append(_rzz_terms(rzz, [axes[i] for i in step], u, v) * reduce(np.kron, masks))
+        steps.append(step)
+        rates.append(c / scale)
+    k = len(steps)
+    rates = np.array(rates + [h / scale for h in ising.fields])
     touched = {i for step in steps for i in step}
     steps += [(i,) for i in range(len(axes)) if i not in touched]
     last = {i: j for j, step in enumerate(steps) for i in step}
@@ -529,6 +549,8 @@ def compile_noisy_layers(
             full = len(out) == len(into) == math.prod(sizes[i] for i in step)
             moved = tuple(order.index(i) for i in perm)
             pick = (slice(None), layer) if full else (slice(None), layer, out[:, None], into)
+            if not picks:  # the first contraction reads the start, ordered here once
+                first = start.reshape(shape).transpose(moved).reshape(len(into), -1)
             picks.append((j, pick, shape, (0, *(1 + m for m in moved))))  # in the (rows, ...) stack
             plan.append((shape, moved, tuple(len(kept[i]) for i in step)))
             order = list(perm)
@@ -541,13 +563,14 @@ def compile_noisy_layers(
 
     x_fields, x_masks = k + np.array(x_qubits, dtype=int), z_masks[x_qubits]
     a_fields, b_fields = k + np.array(spec.xy_pairs, dtype=int).reshape(-1, 2).T
-    kept16 = 4 * _PAIR_KEPT[:, 0] + _PAIR_KEPT[:, 1]  # of the 16 strings of (a, b)
     mix, pair_rz = (  # D RYY D RXX, and RZ x RZ, each as 9 terms
         _restrict(gates.reshape(9, 16, 16)[:, kept16[:, None], kept16], _PAIR_BASIS)
         for gates in (ryy[:, None] @ rxx, np.einsum("sac,tbd->stabcd", rz, rz)))
     # D_a x D_b is 1 - lam on the strings with support on the qubit, so it takes one value
     # on the strings of each kept coordinate: that on its leading string
     pair_masks = np.array([np.kron(z_masks[a], z_masks[b])[kept16[:6]] for a, b in spec.xy_pairs])
+    for i, mask in owed.items():  # a pair's own RZZ channel that no step took: on these
+        pair_masks[i] *= mask[:, None]  # coordinates it commutes with D RZ x D RZ
 
     def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
         batch = np.shape(gammas)[:-1]
@@ -559,13 +582,13 @@ def compile_noisy_layers(
         np.sin(angles, out=trig[..., 2])
         singles = _combine(trig[..., x_fields, :], rz) * x_masks  # D RZ per X qubit
         x_blocks = _combine(trig[..., -1, :], rx)[..., None, :, :] @ singles
-        blocks = list(np.moveaxis(x_blocks, 2, 0))  # per axis: (rows, p, size, size)
+        blocks = [x_blocks[:, :, q] for q in range(len(x_qubits))]  # per axis: (rows, p, d, d)
         if spec.xy_pairs:
             zz = _combine(_products(trig[..., a_fields, :], trig[..., b_fields, :]), pair_rz)
             zz *= pair_masks  # D RZ x D RZ per pair
             beta = trig[..., -2, :]
             pair_blocks = _combine(_products(beta, beta), mix)[..., None, :, :] @ zz
-            blocks[:0] = np.moveaxis(pair_blocks, 2, 0)
+            blocks[:0] = [pair_blocks[:, :, q] for q in range(len(spec.xy_pairs))]
         step_blocks = []
         for j, host in enumerate(hosts):
             block = _combine(trig[..., j, :], terms[j])
@@ -574,8 +597,12 @@ def compile_noisy_layers(
                     block.shape)
             step_blocks.append(block)
         step_blocks += [blocks[i] for (i,) in steps[k:]]
-        state = np.broadcast_to(start, (rows, len(start)))
-        for j, pick, shape, moved in picks:
+        if picks:
+            j, pick = picks[0][:2]
+            state = step_blocks[j][pick] @ first
+        else:  # depth 0: no contraction
+            state = np.broadcast_to(start, (rows, len(start)))
+        for j, pick, shape, moved in picks[1:]:
             block = step_blocks[j][pick]
             state = block @ state.reshape(rows, *shape).transpose(moved).reshape(
                 rows, block.shape[-1], -1)

@@ -17,6 +17,10 @@ FEASIBLE = "111010"
 FEASIBLE_COST = 132.0
 PENALTY = 435.6
 
+#: The 1-vehicle instance ``perfbench.sweep.generate_instance(1)``, whose XY pairs are not
+#: adjacent qubits.
+GEN1 = VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
+
 
 @pytest.fixture(scope="session")
 def toy_instance() -> VrpInstance:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE, X01, X02, X10, X12, X20, X21, textbook_qaoa
+from conftest import FEASIBLE, GEN1, X01, X02, X10, X12, X20, X21, textbook_qaoa
 from vrpqaoa.ansatz import (
     AnsatzSpec,
     ConstraintComponent,
@@ -31,9 +31,6 @@ from vrpqaoa.simcore import (
 )
 
 TOY_SUPPORT = ("000101", "011001", "100110", "111010")
-
-
-GEN1 = VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
 
 
 @pytest.fixture(scope="module")

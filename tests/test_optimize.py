@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE, all_bitstrings, penalty_sum_value
+from conftest import FEASIBLE, GEN1, all_bitstrings, penalty_sum_value
 from vrpqaoa.ansatz import (
     CONSTRAINT_AWARE,
     AnsatzSpec,
     ConstraintComponent,
     ParameterPoint,
+    _rzz_terms,
     compile_noisy_layers,
     evolve,
     init_circuit,
@@ -34,6 +35,8 @@ from vrpqaoa.simcore import (
     DensityMatrix,
     NoiseModel,
     StateVector,
+    _depolarizing_mask,
+    _ptm_terms,
     apply_diagonal_phase,
     apply_readout_confusion,
     depolarize,
@@ -556,27 +559,34 @@ def _without_couplings(problem, pairs):
 
 class TestNoisyFold:
     """The compiled noisy evaluator works on axes, an XY pair's 6 charge-0 Pauli
-    coordinates or another qubit's 4, with one step per nonzero RZZ; each axis's
-    mixer block folds into the last RZZ on the axis.  Before its first step an axis
-    carries only the start's nonzero coordinates (I and X per qubit for standard
-    QAOA), and after its last one only its Z-type ones.  Per layer on toy3 (RZZ
-    ring 01, 05, 13, 23, 24, 45): standard folds every X block (6 steps), and so
-    does constraint-aware, whose pair (2, 3) is last touched by RZZ 24 and (4, 5)
-    by RZZ 45 (6 steps).  On the 1-vehicle instance every axis is touched too
-    (6 steps each); with RZZ 05 and 45 zeroed, qubit 5 has no RZZ, so its X
-    block is a step of its own (5 steps each)."""
+    coordinates or another qubit's 4, with one step per nonzero RZZ between two axes;
+    each axis's mixer block folds into the last RZZ on the axis.  An XY pair's own
+    RZZ commutes with the pair's coordinates, so it is no step: its channel joins
+    the next RZZ step on the axis, or else the pair's mixer block.  Before its first
+    step an axis carries only the start's nonzero coordinates (I and X per qubit
+    for standard QAOA), and after its last one only its Z-type ones.  Per layer on
+    toy3 (RZZ ring 01, 05, 13, 23, 24, 45): standard folds every X block (6 steps);
+    constraint-aware's pairs (2, 3) and (4, 5) own RZZ 23 and 45 (4 steps), whose
+    channels join RZZ 24 and the mixer block of (4, 5), which is last touched by
+    RZZ 24.  On the 1-vehicle instance every axis is touched too (6 and 4 steps);
+    with RZZ 05 and 45 zeroed, qubit 5 has no RZZ, so its X block is a step of its
+    own (5 and 3 steps).  With toy3's RZZ 05 and 24 zeroed, pair (4, 5) has only
+    its own RZZ, so its mixer block is a step of its own and takes that channel
+    (4 and 3 steps)."""
 
     def problems(self, toy):
         one_vehicle = build_problem(VrpInstance.from_dict(ONE_VEHICLE))
         return {
             "toy3": toy,
+            "toy3_lone_pair": _without_couplings(toy, [(0, 5), (2, 4)]),
             "one_vehicle": one_vehicle,
             "one_vehicle_bare_q5": _without_couplings(one_vehicle, [(0, 5), (4, 5)]),
         }
 
     @pytest.mark.parametrize(
         "instance,steps",
-        [("toy3", (6, 6)), ("one_vehicle", (6, 6)), ("one_vehicle_bare_q5", (5, 5))],
+        [("toy3", (6, 4)), ("toy3_lone_pair", (4, 3)), ("one_vehicle", (6, 4)),
+         ("one_vehicle_bare_q5", (5, 3))],
     )
     @pytest.mark.parametrize(
         "noise",
@@ -601,23 +611,46 @@ class TestNoisyFold:
                 gate = apply_readout_confusion(measure_distribution(state), noise.p01, noise.p10)
                 assert np.abs(evaluator(point.as_vector()) - gate).max() <= 1e-12
 
+    @pytest.mark.parametrize("instance", ["toy3", "generate_instance_1"])
+    @pytest.mark.parametrize(
+        "noise",
+        [PAPER_NOISE, NoiseModel(p1=0.05, p2=0.05, p01=0.02, p10=0.03)],
+        ids=["paper", "high"],
+    )
+    def test_a_pairs_own_rzz_is_its_channel_alone(self, toy, instance, noise):
+        # the fact the fold relies on: on a pair's 6 coordinates, its own RZZ with its
+        # channel has no cos and no sin term, and its constant term is the channel's mask
+        problem = toy if instance == "toy3" else build_problem(GEN1)
+        rzz = _depolarizing_mask(2, (0, 1), noise.p2)[:, None] * np.array(_ptm_terms("rzz"))
+        pairs = AnsatzSpec.constraint_aware(problem.constraints, 1, 0.7).xy_pairs
+        assert len(pairs) == 2
+        for pair in pairs:
+            u, v = sorted(pair)
+            assert problem.cost.ising.couplings[u, v] != 0
+            constant, cos, sin = _rzz_terms(rzz, [pair], u, v)
+            assert not cos.any() and not sin.any()
+            assert np.array_equal(constant, np.diag([1.0] + [1.0 - noise.p2] * 5))
+
     def test_toy3_contraction_count_at_depth_four(self, toy):
         # 60 (standard) and 52 (constraint-aware) contractions before the fold and the
-        # dense read-out, 24 and 28 before the pair axes.  Each contraction counts the
-        # larger of the state's sizes before and after it: 4096 each for standard and
-        # 1024 for constraint-aware before the trims and the charge-0 pairs (6 of 16)
-        for spec, total, middle in (
-            (AnsatzSpec.standard(6, 4), 73216, 4096),
-            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 12192, 576),
+        # dense read-out, 24 and 28 before the pair axes, and 24 for constraint-aware
+        # before its pairs' own RZZ left the steps.  Each contraction counts the larger
+        # of the state's sizes before and after it: 4096 each for standard and 1024 for
+        # constraint-aware before the trims and the charge-0 pairs (6 of 16); with the
+        # pairs' own RZZ as steps, constraint-aware's sum was 12192
+        for spec, total, per_layer, middle in (
+            (AnsatzSpec.standard(6, 4), 73216, 6, 4096),
+            (AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7), 8496, 4, 576),
         ):
             layers = compile_noisy_layers(spec, toy.cost.ising, toy.cost.scale, PAPER_NOISE, True)
-            assert len(layers.plan) == 24
+            assert len(layers.plan) == 4 * per_layer
             coordinates = []
             for shape, perm, after in layers.plan:
                 rest = math.prod(shape) // math.prod(shape[i] for i in perm[:len(after)])
                 coordinates.append(max(math.prod(shape), rest * math.prod(after)))
             assert sum(coordinates) == total
-            assert coordinates[6:18] == [middle] * 12  # layers 2 and 3: no trim
+            # layers 2 and 3: no trim
+            assert coordinates[per_layer:3 * per_layer] == [middle] * (2 * per_layer)
 
 
 class TestStackedEvaluation:
