@@ -431,8 +431,8 @@ def _restrict(terms: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _rzz_terms(rzz: np.ndarray, axes: Sequence[tuple[int, ...]], u: int, v: int) -> np.ndarray:
-    """RZZ(u, v)'s terms ``rzz`` over the 16 strings of (u, v), embedded on the coordinates of
-    ``axes`` (first axis slowest), which hold u and v."""
+    """RZZ(u, v)'s terms ``rzz`` over the 16 strings of (u, v), embedded on the strings of
+    ``axes`` (first axis slowest), which hold u and v, and restricted to their coordinates."""
     qubits = [q for axis in axes for q in axis]
     rows = _coordinates(axes)
     gate = 4 * rows[:, qubits.index(u)] + rows[:, qubits.index(v)]
