@@ -387,11 +387,13 @@ def compile_exact_layers(
     return layers
 
 
-def _combine(trig: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _combine(trig: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_t trig[..., t] terms[t], batched: ``trig`` (..., T) holds the weights, such as
-    (1, cos, sin) of A + cos B + sin C, and ``terms`` is (T, d, d)."""
+    (1, cos, sin) of A + cos B + sin C, and ``terms`` is (T, d, d).  A contiguous ``out``
+    of shape (..., d, d) receives the sum."""
     t, d = terms.shape[0], terms.shape[-1]
-    return (trig @ terms.reshape(t, d * d)).reshape(*trig.shape[:-1], d, d)
+    flat = None if out is None else out.reshape(*trig.shape[:-1], d * d)
+    return np.matmul(trig, terms.reshape(t, d * d), out=flat).reshape(*trig.shape[:-1], d, d)
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -481,6 +483,15 @@ def compile_noisy_layers(
     Every row's blocks are built in one pass, with the rows as the outer stack axis,
     and each contraction is one stacked matmul over them: numpy runs one product per
     row, of the shape a one-row call has, so every row has a one-row call's bits.
+
+    The returned function keeps its work arrays from call to call, since fresh ones of
+    their size (100-200 KB at 5 rows) go back to the kernel when freed and page-fault in
+    again: each RZZ step's block, a spare for the hosting products, and two state
+    buffers, rows outermost and grown to the largest row count yet, with the views a
+    row count needs built once.  An operand that reshaping would copy is ordered into a
+    state buffer; one it leaves a strided view stays that view, since BLAS reads it in
+    another order.  It returns a fresh array, and takes one call at a time: each run
+    compiles its own.
     """
     d1, d2 = _depolarizing_mask(1, (0,), noise.p1), _depolarizing_mask(2, (0, 1), noise.p2)
     rzz, ryy, rxx, rx = (d[:, None] * np.array(_ptm_terms(g)) for g, d in
@@ -537,7 +548,7 @@ def compile_noisy_layers(
         grid = np.ix_(*[kept[i] for i in step])
         return np.ravel_multi_index(grid, [sizes[i] for i in step]).reshape(-1)
 
-    order, plan, picks = list(range(len(axes))), [], []
+    order, plan, picks, width = list(range(len(axes))), [], [], 0
     for layer in range(p):
         for j, step in enumerate(steps):
             perm = step + tuple(i for i in order if i not in step)
@@ -551,7 +562,11 @@ def compile_noisy_layers(
             pick = (slice(None), layer) if full else (slice(None), layer, out[:, None], into)
             if not picks:  # the first contraction reads the start, ordered here once
                 first = start.reshape(shape).transpose(moved).reshape(len(into), -1)
-            picks.append((j, pick, shape, (0, *(1 + m for m in moved))))  # in the (rows, ...) stack
+            probe = np.empty(shape).transpose(moved)  # does reshaping it copy? (as for any rows)
+            view = np.may_share_memory(probe, probe.reshape(len(into), -1))
+            picks.append((j, pick, shape, (0, *(1 + m for m in moved)), view, len(out), len(into)))
+            size = math.prod(shape)  # the state's, and after the step
+            width = max(width, size, size // len(into) * len(out))
             plan.append((shape, moved, tuple(len(kept[i]) for i in step)))
             order = list(perm)
     bits = sum(np.ix_(*[z_bits[i][kept[i]] for i in order])).reshape(-1)
@@ -572,9 +587,36 @@ def compile_noisy_layers(
     for i, mask in owed.items():  # a pair's own RZZ channel that no step took: on these
         pair_masks[i] *= mask[:, None]  # coordinates it commutes with D RZ x D RZ
 
+    cap, owned, spare, states = -1, None, None, None  # the work arrays, set by the first call
+
+    @lru_cache(maxsize=None)
+    def route(rows: int) -> list[tuple]:
+        """Per contraction of a ``rows``-row call: its step, pick, copy into its operand (None
+        for the start or a view, whose product goes to the other state buffer; a copy goes
+        there and its product back), operand and output, as views of the state buffers."""
+        views, at, state = [], 0, None
+        for j, pick, shape, moved, view, a, b in picks:  # moved: in the (rows, ...) stack
+            copy, operand = None, first
+            if state is not None:
+                source = state.reshape(rows, *shape).transpose(moved)
+                if view:
+                    operand, at = source.reshape(rows, b, -1), 1 - at
+                else:
+                    target = states[1 - at][:source.size].reshape(source.shape)
+                    copy, operand = (target, source), target.reshape(rows, b, -1)
+            state = states[at][:rows * a * operand.shape[-1]].reshape(rows, a, -1)
+            views.append((j, pick, copy, operand, state))
+        return views
+
     def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+        nonlocal cap, owned, spare, states
         batch = np.shape(gammas)[:-1]
         rows = math.prod(batch)
+        if rows > cap:
+            cap, owned = rows, [np.empty((rows, p, *t.shape[1:])) for t in terms]
+            spare = np.empty(rows * p * max((t[0].size for t in terms), default=0))
+            states = np.empty((2, rows * width))
+            route.cache_clear()
         gammas, betas = (np.asarray(a, dtype=float).reshape(rows, p, 1) for a in (gammas, betas))
         angles = 2 * np.concatenate([gammas * rates, betas * [1.0, spec.lam]], -1)
         trig = np.ones((*angles.shape, 3))  # (1, cos, sin) per row, layer and angle
@@ -591,21 +633,21 @@ def compile_noisy_layers(
             blocks[:0] = [pair_blocks[:, :, q] for q in range(len(spec.xy_pairs))]
         step_blocks = []
         for j, host in enumerate(hosts):
-            block = _combine(trig[..., j, :], terms[j])
+            own = owned[j][:rows]
+            free = spare[:own.size].reshape(own.shape)  # each hosting product goes to the other
+            block, free = (free, own) if len(host) % 2 else (own, free)  # so the last, to own
+            _combine(trig[..., j, :], terms[j], out=block)
             for i, split in host:  # (I x B x I) G: the axis's mixer block on its own factor
-                block = (blocks[i][..., None, :, :] @ block.reshape(rows, p, *split)).reshape(
-                    block.shape)
+                np.matmul(blocks[i][..., None, :, :], block.reshape(rows, p, *split),
+                          out=free.reshape(rows, p, *split))
+                block, free = free, block
             step_blocks.append(block)
         step_blocks += [blocks[i] for (i,) in steps[k:]]
-        if picks:
-            j, pick = picks[0][:2]
-            state = step_blocks[j][pick] @ first
-        else:  # depth 0: no contraction
-            state = np.broadcast_to(start, (rows, len(start)))
-        for j, pick, shape, moved in picks[1:]:
-            block = step_blocks[j][pick]
-            state = block @ state.reshape(rows, *shape).transpose(moved).reshape(
-                rows, block.shape[-1], -1)
+        state = np.broadcast_to(start, (rows, len(start)))  # depth 0: no contraction
+        for j, pick, copy, operand, out in route(rows):
+            if copy:
+                np.copyto(*copy)
+            state = np.matmul(step_blocks[j][pick], operand, out=out)
         probs = np.clip(readout @ state.reshape(rows, -1, 1), 0.0, None)[..., 0]
         total = probs.sum(-1, keepdims=True)
         if not (total > 0).all():  # NaN, from non-finite angles

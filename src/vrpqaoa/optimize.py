@@ -83,7 +83,9 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
     (the gammas, then the betas), (..., 2p) -> (..., 2^n), compiled once per run.
     Both engines evolve every row in one call: the exact engine's loop, or under
     gate noise the compiled noisy layers and read-out, whose reference is
-    :func:`final_distribution`'s gate engine."""
+    :func:`final_distribution`'s gate engine.  ``probs`` returns fresh arrays; under gate
+    noise it reuses its work arrays from call to call, so it takes one call at a time,
+    and each run compiles its own."""
     spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
     noisy = noise is not None and noise.has_gate_noise

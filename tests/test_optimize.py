@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -676,6 +677,52 @@ class TestStackedEvaluation:
                 assert rows.shape == (k, 64)
                 for vec, row in zip(vecs, rows):
                     assert np.array_equal(row, evaluator(vec))
+
+
+class TestNoisyWorkArrays:
+    """The compiled noisy evaluator keeps its step blocks and state buffers from one call
+    to the next, and returns fresh arrays."""
+
+    def specs(self, problem, depth):
+        return (AnsatzSpec.standard(6, depth),
+                AnsatzSpec.constraint_aware(problem.constraints, depth, 0.7))
+
+    def test_a_warm_call_allocates_less_than_one_state(self, toy):
+        # one 5-row standard state is 5 x 4096 coordinates (160 KB), and the largest
+        # constraint-aware step block (5, 4, 36, 36) 207 KB; with fresh arrays per call a
+        # warm call peaks at about 760 and 670 KB
+        rng = np.random.default_rng(3)
+        for spec in self.specs(toy, 4):
+            evaluator = compile_evaluator(spec, toy.cost, ObjectiveKind("III", PAPER_NOISE))
+            evaluator(rng.uniform(-1, 1, (5, 8)))
+            tracemalloc.start()
+            try:
+                for rows in (5, 2, 5):
+                    vecs = rng.uniform(-1, 1, (rows, 8))
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    evaluator(vecs)
+                    assert tracemalloc.get_traced_memory()[1] - base < 128 * 1024
+            finally:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    @pytest.mark.parametrize("instance", ["toy3", "generate_instance_1"])
+    def test_no_result_aliases_the_work_arrays(self, toy, instance, depth):
+        problem = toy if instance == "toy3" else build_problem(GEN1)
+        kind = ObjectiveKind("III", PAPER_NOISE)
+        rng = np.random.default_rng(depth)
+        for spec in self.specs(problem, depth):
+            evaluator = compile_evaluator(spec, problem.cost, kind)
+            results, copies = [], []
+            for rows in (5, 1, 3, 5, 2):
+                vecs = rng.uniform(-2, 2, (rows, 2 * depth))
+                out = evaluator(vecs)
+                assert np.array_equal(out, compile_evaluator(spec, problem.cost, kind)(vecs))
+                results.append(out)
+                copies.append(out.copy())
+            for out, copy in zip(results, copies):
+                assert np.array_equal(out, copy)
 
 
 def sequential_minimize(spec, cost, kind, cfg, seed):
