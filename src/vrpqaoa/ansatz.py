@@ -351,11 +351,11 @@ def _recipe_state(spec: AnsatzSpec, noise: NoiseModel | None, noisy_init: bool) 
 
 def compile_exact_layers(
     spec: AnsatzSpec, cost: CostOperator, scale: float
-) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The exact engine's p-layer loop, compiled once per run: (gammas, betas),
-    each of shape (..., p), -> amplitudes of shape (..., 2^n), one state per
-    row.  Each layer is the cost phase, then the mixer in closed form through
-    the spec's real eigenbasis, with no gate list.
+    float arrays of shape (rows, p), -> amplitudes of shape (rows, 2^n), one
+    state per row.  Each layer is the cost phase, then the mixer in closed form
+    through the spec's real eigenbasis, with no gate list.
 
     The phases of all layers and rows come from two ``exp`` calls per call; the
     mixer's only over the generator's few distinct eigenvalues (7 of 64 for
@@ -365,15 +365,12 @@ def compile_exact_layers(
     values, index = np.unique(eigen, return_inverse=True)
     start, p, dim = spec._loaded_state.amplitudes[:, None], spec.depth, 1 << spec.n
 
-    def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
-        batch = np.shape(gammas)[:-1]
-        k = math.prod(batch)
-        # (p, k) angles, (p, k, 2^n) phases; (-1j * gamma) * diag, then / scale:
+    def layers(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        # (p, rows) angles, (p, rows, 2^n) phases; (-1j * gamma) * diag, then / scale:
         # dividing diag by scale first changes last bits
-        gammas, betas = (np.asarray(a, dtype=float).reshape(k, p).T for a in (gammas, betas))
-        cost_phases = np.exp(np.multiply.outer(-1j * gammas, cost.diagonal) / scale)
-        mixer_phases = np.exp(np.multiply.outer(-1j * betas, values)).take(index, -1)
-        # The states are a (k, 2^n, 1) complex stack, and each matmul takes its
+        cost_phases = np.exp(np.multiply.outer(-1j * gammas.T, cost.diagonal) / scale)
+        mixer_phases = np.exp(np.multiply.outer(-1j * betas.T, values)).take(index, -1)
+        # The states are a (rows, 2^n, 1) complex stack, and each matmul takes its
         # (k, 2^n, 2) float view.  np.matmul runs one (2^n x 2^n)(2^n x 2) dgemm
         # per row, so every row has the bits of a single-state call; one wide
         # (2^n, 2k) product would not.  A complex product goes to OpenBLAS
@@ -382,7 +379,7 @@ def compile_exact_layers(
         for cost_phase, mixer_phase in zip(cost_phases[..., None], mixer_phases[..., None]):
             state = (basis @ (state * cost_phase).view(float)).view(complex)
             state = (basis @ (state * mixer_phase).view(float)).view(complex)
-        return (state if p else np.tile(start, (k, 1, 1))).reshape(*batch, dim)
+        return (state if p else np.tile(start, (len(gammas), 1, 1))).reshape(-1, dim)
 
     return layers
 
@@ -426,29 +423,26 @@ def _coordinates(axes: Sequence[tuple[int, ...]]) -> np.ndarray:
     return rows
 
 
-def _restrict(terms: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Terms over Pauli strings, on the coordinates given as rows of ``basis``: V M V^+, where
-    V^+ = V^T scaled by 1 / |row|^2 (1 or 1/2: exact) maps the coordinates back."""
-    return basis @ terms @ (basis.T / (basis**2).sum(1))
-
-
-def _rzz_terms(rzz: np.ndarray, axes: Sequence[tuple[int, ...]], u: int, v: int) -> np.ndarray:
-    """RZZ(u, v)'s terms ``rzz`` over the 16 strings of (u, v), embedded on the strings of
-    ``axes`` (first axis slowest), which hold u and v, and restricted to their coordinates."""
+def _axis_terms(terms: np.ndarray, axes: Sequence[tuple[int, ...]], u: int, v: int) -> np.ndarray:
+    """A two-qubit gate's ``terms`` over the 16 strings of its qubits (u, v), embedded on the
+    strings of ``axes`` (first axis slowest), which hold u and v, and restricted to their
+    coordinates, the rows of V: V M V^+, where V^+ = V^T scaled by 1 / |row|^2 (1 or 1/2:
+    exact) maps the coordinates back."""
     qubits = [q for axis in axes for q in axis]
     rows = _coordinates(axes)
     gate = 4 * rows[:, qubits.index(u)] + rows[:, qubits.index(v)]
-    rest = np.delete(rows, [qubits.index(u), qubits.index(v)], 1)  # digits RZZ leaves alone
-    embedded = rzz[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1)
-    return _restrict(embedded, reduce(np.kron, [_AXIS_BASES[len(axis)][1] for axis in axes]))
+    rest = np.delete(rows, [qubits.index(u), qubits.index(v)], 1)  # digits the gate leaves alone
+    embedded = terms[:, gate[:, None], gate] * (rest[:, None] == rest).all(-1)
+    basis = reduce(np.kron, [_AXIS_BASES[len(axis)][1] for axis in axes])
+    return basis @ embedded @ (basis.T / (basis**2).sum(1))
 
 
 def compile_noisy_layers(
     spec: AnsatzSpec, ising: IsingCoefficients, scale: float, noise: NoiseModel, noisy_init: bool
-) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The gate engine's noisy p-layer loop and read-out, compiled once into fixed
-    Pauli-transfer terms: (gammas, betas), each of shape (..., p), -> measured
-    distributions of shape (..., 2^n), one per row.  ``layers.plan`` holds, per
+    Pauli-transfer terms: (gammas, betas), finite float arrays of shape (rows, p), ->
+    measured distributions of shape (rows, 2^n), one per row.  ``layers.plan`` holds, per
     contraction, the state's axis sizes, the permutation bringing the contraction's
     axes first, and their sizes after it.
 
@@ -460,7 +454,7 @@ def compile_noisy_layers(
     that anticommute with Z_a Z_b (charge +-1), XX-YY and XY+YX (charge +-2), and the
     6 kept ones (charge 0), and the read-out sees only charge-0 Z-type strings:
     dropping the others is exact whatever the start.  Each term is restricted to the
-    kept coordinates once (``_restrict``); RXX alone does not conserve charge, so the
+    kept coordinates once (``_axis_terms``); RXX alone does not conserve charge, so the
     pair's mixer is restricted as the product D RYY D RXX.
 
     Each channel commutes with unitaries on its support, so it folds into the rows
@@ -503,7 +497,7 @@ def compile_noisy_layers(
     bases = [_AXIS_BASES[len(axis)][1] for axis in axes]
     sizes = [len(basis) for basis in bases]
     axis_of = {q: i for i, axis in enumerate(axes) for q in axis}
-    kept16 = 4 * _PAIR_KEPT[:, 0] + _PAIR_KEPT[:, 1]  # of the 16 strings of (a, b)
+    lead16 = 4 * _PAIR_KEPT[:6, 0] + _PAIR_KEPT[:6, 1]  # coordinates' leading strings, of the 16
 
     steps, terms, rates = [], [], []  # per step: its axes, its (A, B, C) and its angle's rate
     owed = {}  # per pair axis: its own RZZ's channel, until the next operation on the axis
@@ -512,10 +506,10 @@ def compile_noisy_layers(
             continue
         step = tuple(dict.fromkeys((axis_of[u], axis_of[v])))
         if len(step) == 1:  # a pair's own RZZ: ZZ commutes with its 6 coordinates, so B = C = 0
-            owed[step[0]] = d2[kept16[:6]]  # and A is its channel's mask, diag(1, 1 - p2, ...)
+            owed[step[0]] = d2[lead16]  # and A is its channel's mask, diag(1, 1 - p2, ...)
             continue
         masks = [owed.pop(i, np.ones(sizes[i])) for i in step]  # the owed channels act first
-        terms.append(_rzz_terms(rzz, [axes[i] for i in step], u, v) * reduce(np.kron, masks))
+        terms.append(_axis_terms(rzz, [axes[i] for i in step], u, v) * reduce(np.kron, masks))
         steps.append(step)
         rates.append(c / scale)
     k = len(steps)
@@ -579,11 +573,11 @@ def compile_noisy_layers(
     x_fields, x_masks = k + np.array(x_qubits, dtype=int), z_masks[x_qubits]
     a_fields, b_fields = k + np.array(spec.xy_pairs, dtype=int).reshape(-1, 2).T
     mix, pair_rz = (  # D RYY D RXX, and RZ x RZ, each as 9 terms
-        _restrict(gates.reshape(9, 16, 16)[:, kept16[:, None], kept16], _PAIR_BASIS)
+        _axis_terms(gates.reshape(9, 16, 16), [(0, 1)], 0, 1)
         for gates in (ryy[:, None] @ rxx, np.einsum("sac,tbd->stabcd", rz, rz)))
     # D_a x D_b is 1 - lam on the strings with support on the qubit, so it takes one value
     # on the strings of each kept coordinate: that on its leading string
-    pair_masks = np.array([np.kron(z_masks[a], z_masks[b])[kept16[:6]] for a, b in spec.xy_pairs])
+    pair_masks = np.array([np.kron(z_masks[a], z_masks[b])[lead16] for a, b in spec.xy_pairs])
     for i, mask in owed.items():  # a pair's own RZZ channel that no step took: on these
         pair_masks[i] *= mask[:, None]  # coordinates it commutes with D RZ x D RZ
 
@@ -608,16 +602,15 @@ def compile_noisy_layers(
             views.append((j, pick, copy, operand, state))
         return views
 
-    def layers(gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+    def layers(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         nonlocal cap, owned, spare, states
-        batch = np.shape(gammas)[:-1]
-        rows = math.prod(batch)
+        rows = len(gammas)
         if rows > cap:
             cap, owned = rows, [np.empty((rows, p, *t.shape[1:])) for t in terms]
             spare = np.empty(rows * p * max((t[0].size for t in terms), default=0))
             states = np.empty((2, rows * width))
             route.cache_clear()
-        gammas, betas = (np.asarray(a, dtype=float).reshape(rows, p, 1) for a in (gammas, betas))
+        gammas, betas = gammas[..., None], betas[..., None]  # (rows, p, 1)
         angles = 2 * np.concatenate([gammas * rates, betas * [1.0, spec.lam]], -1)
         trig = np.ones((*angles.shape, 3))  # (1, cos, sin) per row, layer and angle
         np.cos(angles, out=trig[..., 1])
@@ -649,10 +642,7 @@ def compile_noisy_layers(
                 np.copyto(*copy)
             state = np.matmul(step_blocks[j][pick], operand, out=out)
         probs = np.clip(readout @ state.reshape(rows, -1, 1), 0.0, None)[..., 0]
-        total = probs.sum(-1, keepdims=True)
-        if not (total > 0).all():  # NaN, from non-finite angles
-            raise ValueError("state has no probability mass")
-        return (probs / total).reshape(*batch, 1 << n)
+        return probs / probs.sum(-1, keepdims=True)  # finite angles keep the trace 1
 
     layers.plan = tuple(plan)
     return layers
@@ -685,8 +675,8 @@ def evolve(
             raise TypeError("exact engine needs a CostOperator diagonal")
         if noise is not None:
             raise ValueError("the exact engine is noiseless; use engine='gate'")
-        amplitudes = compile_exact_layers(spec, cost, scale)(params.gamma, params.beta)
-        return StateVector(spec.n, amplitudes)
+        layers = compile_exact_layers(spec, cost, scale)
+        return StateVector(spec.n, layers(np.array([params.gamma]), np.array([params.beta]))[0])
     if engine != "gate":
         raise ValueError(f"unknown engine {engine!r}")
     if not isinstance(cost, IsingCoefficients):

@@ -400,19 +400,16 @@ def solve_report(path: str) -> dict:
     }
 
 
-def encode_report(path: str, penalty: float | None = None, scale: float | None = None) -> dict:
-    """Full coefficient dump: raw penalty terms, collected QUBO, both Ising forms."""
-    for flag, value in (("--penalty", penalty), ("--scale", scale)):
-        if value is not None:
-            check_positive(flag, value)
+def encode_report(path: str, penalty: float | None = None) -> dict:
+    """Full coefficient dump: raw penalty terms, collected QUBO, both Ising forms, scale."""
+    if penalty is not None:
+        check_positive("--penalty", penalty)
     inst = load_instance(path)
     cs = build_constraints(inst)
     qubo = penalize(inst, cs, penalty)
     idx = LinkVariableIndex.for_nodes(inst.node_count)
     ising_a = to_ising(qubo, CONVENTION_A)
     ising_b = to_ising(qubo, CONVENTION_B)
-    if scale is None:
-        scale = default_energy_scale(ising_b)
 
     terms = []
     for c in cs:
@@ -436,7 +433,7 @@ def encode_report(path: str, penalty: float | None = None, scale: float | None =
         "qubo": qubo_as_dict(qubo),
         "ising_a": ising_as_dict(ising_a),
         "ising_b": ising_as_dict(ising_b),
-        "scale": scale,
+        "scale": default_energy_scale(ising_b),
     }
 
 
@@ -562,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("instance", help="instance JSON file")
     p_encode.add_argument("--json", dest="json_out", help="also write the report as JSON")
     p_encode.add_argument("--penalty", type=float, default=None)
-    p_encode.add_argument("--scale", type=float, default=None)
 
     p_run = sub.add_parser("run", help="regime/lambda sweep over seeded runs")
     p_run.add_argument("--config", help="experiment config JSON")
@@ -593,7 +589,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"qubo argmin:     {', '.join(report['qubo_argmin'])}")
             print(f"qubo minimum:    {report['qubo_min']:g}")
         elif args.command == "encode":
-            report = encode_report(args.instance, args.penalty, args.scale)
+            report = encode_report(args.instance, args.penalty)
             _print_encode_report(report)
             if args.json_out:
                 with open(args.json_out, "w", encoding="utf-8") as fh:

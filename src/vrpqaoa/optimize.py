@@ -81,11 +81,14 @@ class ObjectiveKind:
 def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind) -> Evaluator:
     """``probs(vecs)``: the measurement distributions at Nelder-Mead's raw vectors
     (the gammas, then the betas), (..., 2p) -> (..., 2^n), compiled once per run.
-    Both engines evolve every row in one call: the exact engine's loop, or under
-    gate noise the compiled noisy layers and read-out, whose reference is
-    :func:`final_distribution`'s gate engine.  ``probs`` returns fresh arrays; under gate
-    noise it reuses its work arrays from call to call, so it takes one call at a time,
-    and each run compiles its own."""
+
+    ``probs`` is the one reader of an angle batch: it checks the width, rejects an
+    empty batch and any non-finite angle before an engine runs, hands the engine
+    (rows, p) gammas and betas, and shapes the result back.  Both engines evolve every
+    row in one call: the exact engine's loop, or under gate noise the compiled noisy
+    layers and read-out, whose reference is :func:`final_distribution`'s gate engine.
+    ``probs`` returns fresh arrays; under gate noise it reuses its work arrays from
+    call to call, so it takes one call at a time, and each run compiles its own."""
     spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
     noisy = noise is not None and noise.has_gate_noise
@@ -98,15 +101,19 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
         angles = np.asarray(vecs, dtype=float)
         if angles.shape[-1] != 2 * p:
             raise ValueError(f"expected {2 * p} angles, got {angles.shape[-1]}")
-        out = layers(angles[..., :p], angles[..., p:])
-        if noisy:  # the read-out included
-            return out
-        out = measure_distribution(out)
-        if noise is None:
-            return out
-        dists = out.reshape(-1, out.shape[-1])
-        out = [apply_readout_confusion(d, noise.p01, noise.p10) for d in dists]
-        return np.array(out).reshape(*angles.shape[:-1], -1)
+        batch = angles.shape[:-1]
+        rows = math.prod(batch)  # not reshape(-1, 2p): 2p is 0 at depth 0
+        if not rows:
+            raise ValueError(f"angle batch of shape {angles.shape} has no rows")
+        angles = angles.reshape(rows, 2 * p)
+        if not np.isfinite(angles).all():
+            raise ValueError(f"angles must be finite, got {angles[~np.isfinite(angles)][0]}")
+        out = layers(angles[:, :p], angles[:, p:])
+        if not noisy:  # the noisy layers include the read-out
+            out = measure_distribution(out)
+            if noise is not None:
+                out = np.array([apply_readout_confusion(d, noise.p01, noise.p10) for d in out])
+        return out.reshape(*batch, out.shape[-1])
 
     return probs
 

@@ -74,12 +74,6 @@ class GateOp:
     qubits: tuple[int, ...]
     angle: float | None = None
 
-    def as_dict(self) -> dict:
-        record: dict = {"name": self.name, "qubits": list(self.qubits)}
-        if self.angle is not None:
-            record["angle"] = self.angle
-        return record
-
 
 class StateVector:
     """Pure state as a flat complex amplitude array of length 2^n."""

