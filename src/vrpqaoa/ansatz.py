@@ -484,8 +484,8 @@ def compile_noisy_layers(
     buffers, rows outermost and grown to the largest row count yet, with the views a
     row count needs built once.  An operand that reshaping would copy is ordered into a
     state buffer; one it leaves a strided view stays that view, since BLAS reads it in
-    another order.  It returns a fresh array, and takes one call at a time: each run
-    compiles its own.
+    another order.  It returns a fresh array, and takes one call at a time: each
+    ``minimize`` call compiles its own.
     """
     d1, d2 = _depolarizing_mask(1, (0,), noise.p1), _depolarizing_mask(2, (0, 1), noise.p2)
     rzz, ryy, rxx, rx = (d[:, None] * np.array(_ptm_terms(g)) for g, d in
@@ -636,7 +636,8 @@ def compile_noisy_layers(
                 block, free = free, block
             step_blocks.append(block)
         step_blocks += [blocks[i] for (i,) in steps[k:]]
-        state = np.broadcast_to(start, (rows, len(start)))  # depth 0: no contraction
+        if p == 0:  # no contraction: the start is the state
+            state = np.broadcast_to(start, (rows, len(start)))
         for j, pick, copy, operand, out in route(rows):
             if copy:
                 np.copyto(*copy)

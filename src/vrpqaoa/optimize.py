@@ -88,7 +88,8 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
     row in one call: the exact engine's loop, or under gate noise the compiled noisy
     layers and read-out, whose reference is :func:`final_distribution`'s gate engine.
     ``probs`` returns fresh arrays; under gate noise it reuses its work arrays from
-    call to call, so it takes one call at a time, and each run compiles its own."""
+    call to call, so it takes one call at a time, and each :func:`minimize` call
+    compiles its own."""
     spec.check_cost_size(cost.full_diagonal.n)
     noise, p = kind.noise, spec.depth  # None or all zero outside regime III
     noisy = noise is not None and noise.has_gate_noise
@@ -99,8 +100,9 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
 
     def probs(vecs: Sequence[float]) -> np.ndarray:
         angles = np.asarray(vecs, dtype=float)
-        if angles.shape[-1] != 2 * p:
-            raise ValueError(f"expected {2 * p} angles, got {angles.shape[-1]}")
+        width = angles.shape[-1] if angles.ndim else f"the scalar {vecs!r}"
+        if width != 2 * p:
+            raise ValueError(f"expected {2 * p} angles, got {width}")
         batch = angles.shape[:-1]
         rows = math.prod(batch)  # not reshape(-1, 2p): 2p is 0 at depth 0
         if not rows:
@@ -284,58 +286,70 @@ def minimize(
     cost: CompiledCost,
     kind: ObjectiveKind,
     cfg: OptimizerConfig,
-    seed: int,
-) -> OptimizeResult:
-    """Multi-restart Nelder-Mead over the angle box, seeded by ``seed``.
+    seed: int | Sequence[int],
+) -> OptimizeResult | list[OptimizeResult]:
+    """Multi-restart Nelder-Mead over the angle box, seeded by ``seed``; given a
+    sequence of seeds, one such minimization per seed, returned as a list.
 
     Each restart draws its own start point and (for stochastic kinds) its
-    own sampling stream.  The restarts advance in lockstep: each round
-    evaluates every unfinished restart's pending point in one stacked
-    evaluator call, then scores the rows in restart order, each with its
-    restart's own stream, so every restart draws and steps exactly as it
+    own sampling stream.  The restarts of every seed advance in lockstep: each
+    round evaluates every unfinished restart's pending point in one stacked
+    evaluator call, then scores the rows in (seed, restart) order, each with
+    its restart's own stream, so every restart draws and steps exactly as it
     would alone.  A restart whose simplex converges leaves the round.
     Restart winners of stochastic objectives are compared by re-evaluating
-    every candidate with one shared, fixed evaluation stream so the
-    selection is reproducible and unbiased by per-restart sampling luck.
+    every candidate of a seed with that seed's one fixed evaluation stream
+    (all seeds' candidates in one call), so the selection is reproducible and
+    unbiased by per-restart sampling luck.  Every evaluator row has the bits
+    of a one-row call, so a seed's result does not depend on the seeds run
+    beside it.
     """
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(cfg.restarts + 1)
-    eval_key = children[-1]
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    restarts = cfg.restarts
     lower, upper = _parameter_bounds(spec.depth)
     evaluator = compile_evaluator(spec, cost, kind)
 
-    rngs = [np.random.default_rng(child) for child in children[:-1]]
+    children = [np.random.SeedSequence(s).spawn(restarts + 1) for s in seeds]
+    eval_keys = [kids[-1] for kids in children]
+    # one restart per row, in (seed, restart) order: run j is restart j % restarts
+    rngs = [np.random.default_rng(child) for kids in children for child in kids[:-1]]
     runs = [
         nelder_mead_steps(ParameterPoint.random(spec.depth, rng).as_vector(), lower, upper,
                           cfg.max_evals)
         for rng in rngs
     ]
     results: dict[int, NelderMeadResult] = {}
-    pending = {r: next(run) for r, run in enumerate(runs)}  # trial points, in restart order
+    pending = {j: next(run) for j, run in enumerate(runs)}  # trial points, in row order
     while pending:
         rows = evaluator(np.array(list(pending.values())))
-        for r, probs in zip(list(pending), rows):
-            value = objective(probs, cost, kind, cfg, rngs[r])
+        for j, probs in zip(list(pending), rows):
+            value = objective(probs, cost, kind, cfg, rngs[j])
             try:
-                pending[r] = runs[r].send(value)
+                pending[j] = runs[j].send(value)
             except StopIteration as done:
-                results[r] = done.value
-                del pending[r]
+                results[j] = done.value
+                del pending[j]
 
-    trace = [(r, i, v) for r in range(cfg.restarts) for i, v in enumerate(results[r][2])]
-    candidates = [results[r][:2] for r in range(cfg.restarts)]
+    candidates = [results[j] for j in range(len(runs))]
     if kind.stochastic:
-        rows = evaluator(np.array([x for x, _ in candidates]))
-        scores = [objective(probs, cost, kind, cfg, np.random.default_rng(eval_key))
-                  for probs in rows]
+        rows = evaluator(np.array([x for x, _, _ in candidates]))
+        scores = [objective(probs, cost, kind, cfg, np.random.default_rng(eval_keys[j // restarts]))
+                  for j, probs in enumerate(rows)]
     else:
-        scores = [value for _, value in candidates]
-    winner = int(np.argmin(scores))
-    return OptimizeResult(
-        params=ParameterPoint.from_vector(candidates[winner][0]),
-        objective=float(scores[winner]),
-        trace=trace,
-    )
+        scores = [value for _, value, _ in candidates]
+    out = []
+    for i in range(len(seeds)):
+        first = i * restarts
+        winner = first + int(np.argmin(scores[first:first + restarts]))
+        out.append(OptimizeResult(
+            params=ParameterPoint.from_vector(candidates[winner][0]),
+            objective=float(scores[winner]),
+            trace=[(r, k, v) for r in range(restarts)
+                   for k, v in enumerate(candidates[first + r][2])],
+        ))
+    return out[0] if np.ndim(seed) == 0 else out
 
 
 def write_trace_csv(trace: Sequence[tuple[int, int, float]], path: str) -> None:

@@ -337,6 +337,67 @@ class TestRunExperiment:
         assert trace_files == ["standard_seed0.csv"]
 
 
+class TestSeedChunks:
+    SMALL = OptimizerConfig(restarts=2, max_evals=12, shots_objective=64, batches=2,
+                            shots_final=256)
+
+    def test_chunks_hold_at_most_the_cap_and_split_only_for_the_workers(self):
+        seeds = tuple(range(30))
+        chunks = cli.seed_chunks(seeds, 1, 5, None)  # 4 seeds x 5 restarts = 20 rows
+        assert [len(c) for c in chunks] == [3, 4, 4, 4, 3, 4, 4, 4]
+        assert sum(chunks, ()) == seeds
+        assert cli.seed_chunks(seeds, 7, 5, 2) == chunks
+        assert cli.seed_chunks((0, 1, 2, 3), 2, 5, None) == [(0, 1, 2, 3)]
+        assert cli.seed_chunks((0, 1, 2, 3), 2, 5, 3) == [(0, 1), (2, 3)]
+        assert cli.seed_chunks((0, 1), 1, 1, 4) == [(0,), (1,)]
+        assert cli.seed_chunks((5, 2, 9), 1, 25, None) == [(5,), (2,), (9,)]
+        assert cli.seed_chunks((), 2, 5, 2) == []
+        assert cli.seed_chunks((0, 1), 0, 5, 2) == [(0, 1)]  # for no cell: no task
+
+    @pytest.mark.parametrize("regime", ["I", "II", "III"])
+    def test_records_do_not_depend_on_chunking_or_workers(self, monkeypatch, regime):
+        problem = build_problem(load_instance(toy_instance_path()))
+        kind = regime_objective_kind(regime, NOISE_PRESETS["paper"])
+        cells = [("standard", None), ("constraint_aware", 0.7)]
+        seeds = (0, 1, 2, 3)
+
+        def records(workers):
+            return [r.as_dict() for r in run_cells(problem, cells, seeds, kind, 2, self.SMALL,
+                                                   master_seed=3, workers=workers)]
+
+        assert cli.seed_chunks(seeds, 2, 2, 1) == [seeds]
+        whole = records(1)  # one chunk per cell
+        assert cli.seed_chunks(seeds, 2, 2, 3) == [(0, 1), (2, 3)]
+        pooled = records(3)  # 4 tasks on 3 processes
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 1)
+        assert cli.seed_chunks(seeds, 2, 2, 1) == [(0,), (1,), (2,), (3,)]
+        single = records(1)  # one seed per task
+        assert whole == pooled == single
+
+    def test_a_chunk_fills_the_evaluator_call_up_to_the_cap(self, monkeypatch):
+        from vrpqaoa import optimize
+
+        compile_evaluator, rows = optimize.compile_evaluator, []
+
+        def counting(*args):
+            evaluator = compile_evaluator(*args)
+
+            def probs(vecs):
+                rows.append(int(np.prod(np.shape(vecs)[:-1])))
+                return evaluator(vecs)
+
+            return probs
+
+        monkeypatch.setattr(optimize, "compile_evaluator", counting)
+        problem = build_problem(load_instance(toy_instance_path()))
+        cfg = OptimizerConfig(max_evals=10, shots_objective=64, batches=1, shots_final=64)
+        run_cells(problem, [("standard", None)], tuple(range(8)),
+                  regime_objective_kind("II", None), 1, cfg)
+        # per 4-seed chunk: 10 lockstep rounds and the winners' re-evaluation of
+        # 4 x 5 rows, then one final distribution per run
+        assert rows == ([20] * 11 + [1] * 4) * 2
+
+
 class TestCommandLine:
     def test_solve_command(self, capsys):
         assert main(["solve", toy_instance_path()]) == 0

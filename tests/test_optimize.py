@@ -422,6 +422,14 @@ class TestObjective:
             *(
                 (
                     lambda toy, kind=kind: compile_evaluator(
+                        AnsatzSpec.standard(6, 0), toy.cost, kind)(0.5),
+                    "expected 0 angles, got the scalar 0.5",
+                )
+                for kind in (ObjectiveKind("I"), ObjectiveKind("III", PAPER_NOISE))
+            ),
+            *(
+                (
+                    lambda toy, kind=kind: compile_evaluator(
                         AnsatzSpec.standard(6, 2), toy.cost, kind)(np.zeros((0, 4))),
                     r"angle batch of shape \(0, 4\) has no rows",
                 )
@@ -491,6 +499,11 @@ class TestObjective:
                 lambda toy: to_cost_operator(QuboProblem(
                     BRUTE_FORCE_LIMIT + 1, 0.0, (0.0,) * (BRUTE_FORCE_LIMIT + 1), {}, 1.0)),
                 f"{BRUTE_FORCE_LIMIT + 1} variables exceeds the enumeration limit",
+            ),
+            (
+                lambda toy: minimize(AnsatzSpec.standard(6, 1), toy.cost, ObjectiveKind("II"),
+                                     OptimizerConfig(), []),
+                "need at least one seed",
             ),
             (
                 lambda toy: run_single(toy, CONSTRAINT_AWARE, None, 1, 0, ObjectiveKind("I"),
@@ -816,6 +829,22 @@ class TestLockstepRestarts:
         assert [i for _, i, _ in result.trace] == [*range(150), *range(117), *range(150)]
         monkeypatch.undo()
         assert sequential_minimize(spec, toy.cost, ObjectiveKind("I"), cfg, 4)[2] == result.trace
+
+    @pytest.mark.parametrize(
+        "kind", [ObjectiveKind("I"), ObjectiveKind("II"), ObjectiveKind("III", PAPER_NOISE)],
+        ids=["I", "II", "III"],
+    )
+    def test_seeds_in_lockstep_equal_one_seed_at_a_time(self, toy, kind):
+        # in regime I restart 1 of seed 4 converges after 117 evaluations (see
+        # above), so the shared rounds shrink from 9 rows to 8 while the others go on
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7)
+        cfg = OptimizerConfig(restarts=3, max_evals=150, shots_objective=64, batches=2)
+        seeds = [4, 0, 7]
+        together = minimize(spec, toy.cost, kind, cfg, seeds)
+        alone = [minimize(spec, toy.cost, kind, cfg, seed) for seed in seeds]
+        assert [(r.params, r.objective, r.trace) for r in together] == [
+            (r.params, r.objective, r.trace) for r in alone
+        ]
 
 
 class TestMinimize:
