@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -161,111 +161,147 @@ def objective(
     return total / cfg.batches / cost.scale
 
 
-class _BudgetSpent(Exception):
-    """Raised by :func:`nelder_mead_steps`'s ``evaluate`` once the budget is used."""
-
-
 NelderMeadResult = tuple[np.ndarray, float, list[float]]
 
+#: A row's step: a vertex (initial or shrunk), or a point on the line through its centroid.
+_VERTEX, _REFLECT, _EXPAND, _CONTRACT = range(4)
+#: A row's move in a round: keep its simplex, re-sort it, or replace its worst vertex and re-sort.
+_STAY, _SORT, _REPLACE = range(3)
 
-def nelder_mead_steps(
-    x0: np.ndarray,
+
+class _Row:
+    """One simplex's scalar state between rounds; its vertices live in the round's arrays."""
+
+    __slots__ = ("index", "history", "best_f", "best", "phase", "vertex", "coef", "top",
+                 "reflected", "bar")
+
+    def __init__(self, index: int, start: np.ndarray) -> None:
+        self.index, self.history, self.best_f, self.best = index, [], math.inf, start
+        self.phase, self.vertex, self.coef = _VERTEX, 0, 0.0
+
+
+def simplex_rounds(
+    score: Callable[[list[int], np.ndarray], Sequence[float]],
+    starts: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     max_evals: int,
-) -> Generator[np.ndarray, float, NelderMeadResult]:
-    """Nelder-Mead simplex with box clamping on every trial point, as a step
-    generator: it yields each trial point and is sent its value, and returns
-    (through ``StopIteration.value``) the best point evaluated within the budget,
-    its value and the full evaluation history.
+) -> list[NelderMeadResult]:
+    """Box-clamped Nelder-Mead on one simplex per row of ``starts`` (rows, dim), all
+    advanced in rounds: each round, ``score(ids, points)`` returns the values of every
+    running row's next trial point (row ``ids[i]`` at ``points[i]``).  A row stops once
+    its simplex converges or it has spent ``max_evals``.  Returns, per row, the best
+    point evaluated, its value and the full evaluation history.
 
-    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    The initial simplex offsets each coordinate by ``NM_STEP`` (flipped to
-    ``-NM_STEP`` where that would leave the box).  The simplex is a
-    (dim + 1, dim) array and its values a float array, sorted best first.
+    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The initial
+    simplex offsets each coordinate by ``NM_STEP`` (``-NM_STEP`` where that would leave
+    the box).  The simplices are one (rows, dim + 1, dim) array, each sorted best vertex
+    first, and their values one (rows, dim + 1) array.  A round makes each row's branch
+    decision on Python floats, then does each kind of vector work once for all rows:
+    the worst-vertex copy, the argsort, the centroids and clamped line points
+    ``C + coef (C - worst)``, the vertex gather.  Each row keeps a lone simplex's bits.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
 
     def clamp(x: np.ndarray) -> np.ndarray:  # np.clip's arithmetic without its wrapper
         return np.minimum(np.maximum(x, lower), upper)
 
-    x0 = clamp(np.asarray(x0, dtype=float))
-    dim = len(x0)
-    history: list[float] = []
-    best_x, best_f = x0.copy(), math.inf
-
-    def evaluate(x: np.ndarray) -> Generator[np.ndarray, float, float]:
-        nonlocal best_x, best_f
-        if len(history) >= max_evals:
-            raise _BudgetSpent
-        fx = float((yield x))
-        history.append(fx)
-        if fx < best_f:
-            best_x, best_f = x.copy(), fx
-        return fx
-
-    simplex = np.array([x0] * (dim + 1))
-    for i in range(dim):
-        simplex[i + 1, i] += NM_STEP if x0[i] + NM_STEP <= upper[i] else -NM_STEP
+    x0 = clamp(np.asarray(starts, dtype=float))
+    count, dim = x0.shape
+    simplex = np.repeat(x0[:, None], dim + 1, axis=1)
+    axes, lead = np.arange(dim + 1), np.arange(count)[:, None]
+    simplex[:, axes[1:], axes[:-1]] += np.where(x0 + NM_STEP <= upper, NM_STEP, -NM_STEP)
     simplex = clamp(simplex)
-    values = np.full(dim + 1, math.inf)
-
-    def along(coef: float) -> np.ndarray:  # on the line from the worst vertex via the centroid
-        return clamp(centroid + coef * (centroid - simplex[-1]))
-
-    alpha, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
-    try:
-        for i, vertex in enumerate(simplex):  # views of rows no later step writes
-            values[i] = yield from evaluate(vertex)
-        while True:
-            order = np.argsort(values)
-            simplex, values = simplex[order], values[order]
-            if values[-1] - values[0] < NM_SPREAD_TOL and np.abs(
-                simplex - simplex[0]
-            ).max(initial=0.0) < NM_SPREAD_TOL:  # a 0-dimensional simplex is one point
-                break
-            centroid = np.add.reduce(simplex[:-1], axis=0) / dim
-            reflected = along(alpha)
-            fr = yield from evaluate(reflected)
-            if fr < values[0]:
-                expanded = along(chi)
-                fe = yield from evaluate(expanded)
-                simplex[-1], values[-1] = (expanded, fe) if fe < fr else (reflected, fr)
-            elif fr < values[-2]:
-                simplex[-1], values[-1] = reflected, fr
-            else:
-                outside = fr < values[-1]
-                contracted = along(psi if outside else -psi)
-                fc = yield from evaluate(contracted)
-                if fc < (fr if outside else values[-1]):
-                    simplex[-1], values[-1] = contracted, fc
+    values = np.full((count, dim + 1), math.inf)
+    results: list[NelderMeadResult] = [(x, math.inf, []) for x in x0.copy()]
+    rows = [_Row(i, x) for i, x in enumerate(x0)] if max_evals > 0 else []
+    ids, points = list(range(count)), simplex[:, 0].copy()
+    while rows:
+        moves, sorts, shrinks, done = [], [], [], []  # moves: each row's _STAY, _SORT or _REPLACE
+        due = False  # whether a row evaluates a vertex next
+        for r, (row, fx) in enumerate(zip(rows, score(ids, points))):
+            fx = float(fx)
+            row.history.append(fx)
+            if fx < row.best_f:
+                row.best_f, row.best = fx, points[r]
+            move = _STAY
+            if len(row.history) >= max_evals:
+                done.append(r)
+            elif row.phase == _VERTEX:
+                values[r, row.vertex] = fx
+                if row.vertex < dim:
+                    row.vertex += 1
+                    due = True
                 else:
-                    for i in range(1, dim + 1):
-                        simplex[i] = clamp(simplex[0] + sigma * (simplex[i] - simplex[0]))
-                        values[i] = yield from evaluate(simplex[i])
-    except _BudgetSpent:
-        pass
-    return best_x, best_f, history
+                    move = _SORT
+            elif row.phase == _REFLECT:
+                best, second, worst = row.top
+                if fx < best:
+                    row.phase, row.coef, row.reflected = _EXPAND, 2.0, (fx, points[r])
+                elif fx < second:
+                    move = _REPLACE
+                else:
+                    outside = fx < worst
+                    row.phase, row.coef = _CONTRACT, 0.5 if outside else -0.5
+                    row.bar = fx if outside else worst
+            elif row.phase == _EXPAND:
+                move = _REPLACE
+                fr, reflected = row.reflected
+                if not fx < fr:  # the reflected point replaces the worst vertex; the
+                    points[r], fx = reflected, fr  # expanded one it overwrites is no best
+            elif fx < row.bar:
+                move = _REPLACE
+            else:  # shrink toward the best vertex
+                shrinks.append(r)
+                row.phase, row.vertex, row.coef = _VERTEX, 1, 0.0
+                due = True
+            if move != _STAY:
+                sorts.append(r)
+                if move == _REPLACE:
+                    values[r, dim] = fx
+            moves.append(move)
 
-
-def nelder_mead(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    max_evals: int,
-) -> NelderMeadResult:
-    """:func:`nelder_mead_steps` driven by ``f``, one trial point at a time.
-    Returns the best point evaluated within the budget together with its value
-    and the full evaluation history."""
-    steps = nelder_mead_steps(x0, lower, upper, max_evals)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as done:
-        return done.value
+        if shrinks:
+            shrunk = simplex[shrinks]
+            simplex[shrinks, 1:] = clamp(shrunk[:, :1] + 0.5 * (shrunk[:, 1:] - shrunk[:, :1]))
+        if sorts:
+            moves = np.array(moves)
+            np.copyto(simplex[:, dim], points, where=(moves == _REPLACE)[:, None])
+            order = values.argsort(axis=1)
+            if len(sorts) < len(rows):  # argsort may swap ties, so the rest keep their order
+                np.copyto(order, axes, where=(moves == _STAY)[:, None])
+            here = lead[:len(rows)]
+            simplex, values = simplex[here, order], values[here, order]
+            ordered = values.tolist()
+            for r in sorts:
+                vals = ordered[r]
+                if vals[-1] - vals[0] < NM_SPREAD_TOL and np.abs(
+                    simplex[r] - simplex[r, 0]
+                ).max(initial=0.0) < NM_SPREAD_TOL:  # a 0-dimensional simplex is one point
+                    done.append(r)
+                else:
+                    row = rows[r]
+                    row.phase, row.coef, row.top = _REFLECT, 1.0, (vals[0], vals[-2], vals[-1])
+        if done:
+            for row in [rows[r] for r in done]:
+                results[row.index] = (row.best.copy(), row.best_f, row.history)
+            keep = [r for r in range(len(rows)) if r not in done]
+            simplex, values = simplex[keep], values[keep]
+            rows = [rows[r] for r in keep]
+            ids = [row.index for row in rows]
+            if not rows:
+                break
+        centroid = np.add.reduce(simplex[:, :-1], axis=1)
+        centroid /= dim
+        points = centroid - simplex[:, -1]
+        points *= np.array([row.coef for row in rows])[:, None]
+        points += centroid
+        np.maximum(points, lower, out=points)
+        np.minimum(points, upper, out=points)
+        if due:  # rows evaluating a vertex take it in place of their line point
+            vertex_rows = [r for r, row in enumerate(rows) if row.phase == _VERTEX]
+            points[vertex_rows] = simplex[vertex_rows, [rows[r].vertex for r in vertex_rows]]
+    return results
 
 
 @dataclass
@@ -292,17 +328,18 @@ def minimize(
     sequence of seeds, one such minimization per seed, returned as a list.
 
     Each restart draws its own start point and (for stochastic kinds) its
-    own sampling stream.  The restarts of every seed advance in lockstep: each
-    round evaluates every unfinished restart's pending point in one stacked
-    evaluator call, then scores the rows in (seed, restart) order, each with
-    its restart's own stream, so every restart draws and steps exactly as it
-    would alone.  A restart whose simplex converges leaves the round.
-    Restart winners of stochastic objectives are compared by re-evaluating
-    every candidate of a seed with that seed's one fixed evaluation stream
-    (all seeds' candidates in one call), so the selection is reproducible and
-    unbiased by per-restart sampling luck.  Every evaluator row has the bits
-    of a one-row call, so a seed's result does not depend on the seeds run
-    beside it.
+    own sampling stream.  The restarts of every seed are the rows of one
+    :func:`simplex_rounds` call: each round evaluates every unfinished restart's
+    pending point in one stacked evaluator call, then scores the rows in (seed,
+    restart) order, each with its restart's own stream, so every restart draws and
+    steps exactly as it would alone.  A restart whose simplex converges leaves the
+    round.  The simplex bookkeeping costs about 40 µs per 5-row round and 85 µs per
+    20-row round (2-core Xeon, see README).  Restart winners of stochastic
+    objectives are compared by re-evaluating every candidate of a seed with that
+    seed's one fixed evaluation stream (all seeds' candidates in one call), so the
+    selection is reproducible and unbiased by per-restart sampling luck.  Every
+    evaluator row has the bits of a one-row call, so a seed's result does not
+    depend on the seeds run beside it.
     """
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if not seeds:
@@ -315,24 +352,13 @@ def minimize(
     eval_keys = [kids[-1] for kids in children]
     # one restart per row, in (seed, restart) order: run j is restart j % restarts
     rngs = [np.random.default_rng(child) for kids in children for child in kids[:-1]]
-    runs = [
-        nelder_mead_steps(ParameterPoint.random(spec.depth, rng).as_vector(), lower, upper,
-                          cfg.max_evals)
-        for rng in rngs
-    ]
-    results: dict[int, NelderMeadResult] = {}
-    pending = {j: next(run) for j, run in enumerate(runs)}  # trial points, in row order
-    while pending:
-        rows = evaluator(np.array(list(pending.values())))
-        for j, probs in zip(list(pending), rows):
-            value = objective(probs, cost, kind, cfg, rngs[j])
-            try:
-                pending[j] = runs[j].send(value)
-            except StopIteration as done:
-                results[j] = done.value
-                del pending[j]
+    starts = np.array([ParameterPoint.random(spec.depth, rng).as_vector() for rng in rngs])
 
-    candidates = [results[j] for j in range(len(runs))]
+    def score(ids: list[int], points: np.ndarray) -> list[float]:
+        distributions = evaluator(points)
+        return [objective(probs, cost, kind, cfg, rngs[j]) for j, probs in zip(ids, distributions)]
+
+    candidates = simplex_rounds(score, starts, lower, upper, cfg.max_evals)
     if kind.stochastic:
         rows = evaluator(np.array([x for x, _, _ in candidates]))
         scores = [objective(probs, cost, kind, cfg, np.random.default_rng(eval_keys[j // restarts]))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from vrpqaoa.ansatz import circuit_gates
 from vrpqaoa.cli import build_problem, load_instance, toy_instance_path
 from vrpqaoa.instance import EQUAL, VrpInstance
+from vrpqaoa.optimize import NM_SPREAD_TOL, NM_STEP
 from vrpqaoa.simcore import GateOp, StateVector, apply_diagonal_phase, apply_gate, gate_matrix
 
 # Variable order for the three-node instance:
@@ -20,6 +22,82 @@ PENALTY = 435.6
 #: The 1-vehicle instance ``perfbench.sweep.generate_instance(1)``, whose XY pairs are not
 #: adjacent qubits.
 GEN1 = VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
+
+
+class _BudgetSpent(Exception):
+    """Raised by :func:`reference_nelder_mead` once its budget is used."""
+
+
+def reference_nelder_mead(f, x0, lower, upper, max_evals):
+    """Nelder-Mead with box clamping on one simplex, one trial point at a time: the
+    reference of ``optimize.simplex_rounds``.  Returns the best point evaluated
+    within the budget, its value and the full evaluation history.
+
+    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The
+    initial simplex offsets each coordinate by ``NM_STEP`` (flipped to ``-NM_STEP``
+    where that would leave the box); the simplex is sorted best first.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+
+    def clamp(x):
+        return np.minimum(np.maximum(x, lower), upper)
+
+    x0 = clamp(np.asarray(x0, dtype=float))
+    dim = len(x0)
+    history = []
+    best = [x0.copy(), math.inf]
+
+    def evaluate(x):
+        if len(history) >= max_evals:
+            raise _BudgetSpent
+        fx = float(f(x))
+        history.append(fx)
+        if fx < best[1]:
+            best[:] = x.copy(), fx
+        return fx
+
+    simplex = np.array([x0] * (dim + 1))
+    for i in range(dim):
+        simplex[i + 1, i] += NM_STEP if x0[i] + NM_STEP <= upper[i] else -NM_STEP
+    simplex = clamp(simplex)
+    values = np.full(dim + 1, math.inf)
+
+    def along(coef):  # on the line from the worst vertex via the centroid
+        return clamp(centroid + coef * (centroid - simplex[-1]))
+
+    try:
+        for i in range(dim + 1):
+            values[i] = evaluate(simplex[i])
+        while True:
+            order = np.argsort(values)
+            simplex, values = simplex[order], values[order]
+            if values[-1] - values[0] < NM_SPREAD_TOL and np.abs(
+                simplex - simplex[0]
+            ).max(initial=0.0) < NM_SPREAD_TOL:
+                break
+            centroid = np.add.reduce(simplex[:-1], axis=0) / dim
+            reflected = along(1.0)
+            fr = evaluate(reflected)
+            if fr < values[0]:
+                expanded = along(2.0)
+                fe = evaluate(expanded)
+                simplex[-1], values[-1] = (expanded, fe) if fe < fr else (reflected, fr)
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = reflected, fr
+            else:
+                outside = fr < values[-1]
+                contracted = along(0.5 if outside else -0.5)
+                fc = evaluate(contracted)
+                if fc < (fr if outside else values[-1]):
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    for i in range(1, dim + 1):
+                        simplex[i] = clamp(simplex[0] + 0.5 * (simplex[i] - simplex[0]))
+                        values[i] = evaluate(simplex[i])
+    except _BudgetSpent:
+        pass
+    return best[0], best[1], history
 
 
 @pytest.fixture(scope="session")
