@@ -113,7 +113,7 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
         out = layers(angles[:, :p], angles[:, p:])
         if not noisy:  # the noisy layers include the read-out
             out = measure_distribution(out)
-            if noise is not None:
+            if noise is not None and noise.has_readout_error:
                 out = np.array([apply_readout_confusion(d, noise.p01, noise.p10) for d in out])
         return out.reshape(*batch, out.shape[-1])
 

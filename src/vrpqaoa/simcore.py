@@ -127,49 +127,20 @@ def _kron_power(n: int, *entries: float) -> np.ndarray:
     return matrix
 
 
-def _per_qubit(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """The same one-qubit map on every axis (converting rho to and from Pauli form)."""
-    for q in range(tensor.ndim):
-        tensor = _contract(tensor, mat, (q,))
-    return tensor
-
-
 class DensityMatrix:
     """Mixed state as its 4^n real Pauli coefficients ``c_P = Tr(P rho)``, qubit 0
-    the most significant base-4 digit, so ``rho = sum_P c_P P / 2^n``."""
+    the most significant base-4 digit, so ``rho = sum_P c_P P / 2^n``.  It starts at
+    |0...0><0...0| = prod_q (I + Z_q) / 2: 1 on every string of only I and Z."""
 
-    def __init__(self, n: int, rho: np.ndarray | None = None):
+    def __init__(self, n: int):
         self.n = n
-        dim = 1 << n
-        if rho is None:
-            rho = np.zeros((dim, dim))
-            rho[0, 0] = 1.0
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (dim, dim):
-            raise ValueError("density matrix has wrong shape")
-        if np.abs(rho - rho.conj().T).max() > 1e-12:
-            raise ValueError("density matrix must be Hermitian")
-        # (i_0..i_n-1, j_0..j_n-1) -> (i_0 j_0, i_1 j_1, ...), then c_P = sum_ij P_ji rho_ij
-        pairs = rho.reshape([2] * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
-        to_pauli = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
-        self.pauli = _per_qubit(pairs.reshape([4] * n), to_pauli).real.reshape(-1)
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The 2^n x 2^n matrix, built on demand."""
-        n = self.n
-        pairs = _per_qubit(self.pauli.reshape([4] * n), _PAULIS.reshape(4, 4).T / 2.0)
-        order = np.arange(2 * n).reshape(n, 2).T.ravel()
-        return pairs.reshape([2] * (2 * n)).transpose(order).reshape(1 << n, 1 << n)
+        self.pauli = reduce(np.kron, [np.array([1.0, 0.0, 0.0, 1.0])] * n, np.ones(1))
 
     def probabilities(self) -> np.ndarray:
         """Walsh-Hadamard transform of the I/Z coefficients (digits 0 and 3), clipped
         at 0: rounding can leave a zero probability slightly negative."""
         z_type = self.pauli.reshape([4] * self.n)[(slice(None, None, 3),) * self.n]
         return np.clip(_kron_power(self.n, 0.5, 0.5, 0.5, -0.5) @ z_type.reshape(-1), 0.0, None)
-
-    def trace(self) -> float:
-        return float(self.pauli[0])
 
     def purity(self) -> float:
         return float(self.pauli @ self.pauli) / (1 << self.n)
@@ -219,7 +190,7 @@ def _check_rate(name: str, value: float, top: float) -> None:
 class NoiseModel:
     """Depolarizing gate noise plus a symmetric readout confusion matrix.
 
-    ``p1`` follows H, RX, and RZ; ``p2`` follows RZZ, RXX, and RYY.  The
+    ``p1`` follows H, RX and RZ, ``p2`` RZZ, RXX and RYY (``channel_rate``).  The
     derived averages r1_bar = p1/2 and r2_bar = 3*p2/4 are the per-gate
     infidelities of the corresponding channels.
     """
@@ -248,6 +219,11 @@ class NoiseModel:
     @property
     def has_readout_error(self) -> bool:
         return self.p01 != 0.0 or self.p10 != 0.0
+
+    def channel_rate(self, gate: str) -> float:
+        """The depolarizing rate after ``gate`` by its ``GATES`` entry: p1 or p2, 0 if noiseless."""
+        arity, noisy, _ = GATES[gate]
+        return (self.p1 if arity == 1 else self.p2) if noisy else 0.0
 
 
 def average_infidelity(lam: float, qubits: int) -> float:
@@ -297,7 +273,7 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
     """Apply one instruction, attaching the depolarizing channel if requested."""
     if op.name not in GATES:
         raise ValueError(f"unknown gate {op.name!r}")
-    arity, noisy, definition = GATES[op.name]
+    arity, _, definition = GATES[op.name]
     if len(op.qubits) != arity:
         raise ValueError(f"{op.name!r} acts on {arity} qubit(s), got {len(op.qubits)}")
     n, qubits = state.n, tuple(op.qubits)
@@ -315,8 +291,8 @@ def apply_gate(state: State, op: GateOp, noise: NoiseModel | None = None) -> Sta
     if noise is not None and noise.has_gate_noise:
         if not isinstance(state, DensityMatrix):
             raise TypeError("gate noise requires the density-matrix engine")
-        p = noise.p1 if arity == 1 else noise.p2
-        if noisy and p > 0:
+        p = noise.channel_rate(op.name)
+        if p > 0:
             depolarize(state, op.qubits, p)
     return state
 

@@ -25,6 +25,7 @@ from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance
 from vrpqaoa.optimize import ObjectiveKind, final_distribution
 from vrpqaoa.simcore import (
     GateOp,
+    NoiseModel,
     StateVector,
     apply_gate,
     measure_distribution,
@@ -363,6 +364,22 @@ class TestEvolve:
             evolve(spec, toy.cost.ising, params, engine="exact", scale=toy.cost.scale)
         with pytest.raises(TypeError):
             evolve(spec, toy.cost.phase_diagonal, params, engine="gate", scale=toy.cost.scale)
+
+    def test_exact_engine_rejects_gate_noise(self, toy):
+        spec = AnsatzSpec.standard(6, 1)
+        params = ParameterPoint((0.1,), (0.2,))
+        for noise in (NoiseModel(p1=1e-3), NoiseModel(p2=1e-3), NOISE_PRESETS["paper"]):
+            with pytest.raises(ValueError, match="the exact engine runs no gate noise"):
+                evolve(spec, toy.cost.phase_diagonal, params, scale=toy.cost.scale, noise=noise)
+
+    def test_exact_engine_takes_a_model_without_gate_noise(self, toy):
+        # like the gate engine, it applies no readout: NoiseModel() and None give one state
+        spec = AnsatzSpec.constraint_aware(toy.constraints, depth=2, lam=0.7)
+        params = ParameterPoint((0.4, -0.9), (0.3, 1.1))
+        plain = evolve(spec, toy.cost.phase_diagonal, params, scale=toy.cost.scale)
+        for noise in (NoiseModel(), NoiseModel(p01=0.02, p10=0.01)):
+            state = evolve(spec, toy.cost.phase_diagonal, params, scale=toy.cost.scale, noise=noise)
+            assert np.array_equal(state.amplitudes, plain.amplitudes)
 
     def test_exact_engine_rejects_bad_scale_and_size(self, toy):
         spec = AnsatzSpec.standard(6, 1)
