@@ -482,15 +482,14 @@ def compile_noisy_layers(
     their size (100-200 KB at 5 rows) go back to the kernel when freed and page-fault in
     again: each RZZ step's block, a spare for the hosting products, and two state
     buffers, rows outermost and grown to the largest row count yet, with the views a
-    row count needs built once.  An operand that reshaping would copy is ordered into a
-    state buffer; one it leaves a strided view stays that view, since BLAS reads it in
-    another order.  It returns a fresh array, and takes one call at a time: each
-    ``minimize`` call compiles its own.
+    row count needs built once.  Each contraction copies the transposed state into the
+    second state buffer, in order, and writes its product back into the first.  It
+    returns a fresh array, and takes one call at a time: each ``minimize`` call
+    compiles its own.
 
     Each lever's worth is the time per row without it at 20 rows (toy3, depth 4, paper
     noise, one BLAS thread), standard then constraint-aware QAOA: trims 1.7x and 1.1x,
     pair fold 1.1x, one call for all rows 2.2x and 3.4x, kept work arrays 1.5x and 2.2x.
-    Copying every operand times the same but moves values by up to 1.1e-16.
     """
     mask = {g: _depolarizing_mask(GATES[g][0], (0, 1)[:GATES[g][0]], noise.channel_rate(g))
             for g in ("rzz", "ryy", "rxx", "rx", "rz")}  # each gate's channel, on its own qubits
@@ -559,9 +558,7 @@ def compile_noisy_layers(
             full = len(out) == len(into) == math.prod(sizes[i] for i in step)
             moved = tuple(order.index(i) for i in perm)
             pick = (slice(None), layer) if full else (slice(None), layer, out[:, None], into)
-            probe = np.empty(shape).transpose(moved)  # does reshaping it copy? (as for any rows)
-            view = np.may_share_memory(probe, probe.reshape(len(into), -1))
-            picks.append((j, pick, shape, (0, *(1 + m for m in moved)), view, len(out), len(into)))
+            picks.append((j, pick, shape, (0, *(1 + m for m in moved)), len(out), len(into)))
             size = math.prod(shape)  # the state's, and after the step
             width = max(width, size, size // len(into) * len(out))
             plan.append((shape, moved, tuple(len(kept[i]) for i in step)))
@@ -588,19 +585,16 @@ def compile_noisy_layers(
 
     @lru_cache(maxsize=None)
     def route(rows: int) -> list[tuple]:
-        """Per contraction of a ``rows``-row call: its step, pick, copy into its operand (None
-        for a view, whose product goes to the other state buffer; a copy goes there and its
-        product back), operand and output, as views of the state buffers, the start in the first."""
-        views, at, state = [], 0, states[0][:rows * len(start)]
-        for j, pick, shape, moved, view, a, b in picks:  # moved: in the (rows, ...) stack
-            copy, source = None, state.reshape(rows, *shape).transpose(moved)
-            if view:
-                operand, at = source.reshape(rows, b, -1), 1 - at
-            else:
-                target = states[1 - at][:source.size].reshape(source.shape)
-                copy, operand = (target, source), target.reshape(rows, b, -1)
-            state = states[at][:rows * a * operand.shape[-1]].reshape(rows, a, -1)
-            views.append((j, pick, copy, operand, state))
+        """Per contraction of a ``rows``-row call: its step, pick, the transposed state in the
+        first state buffer, its ordered copy in the second (the operand, in both shapes) and
+        the product, back in the first."""
+        views, state = [], states[0][:rows * len(start)]
+        for j, pick, shape, moved, a, b in picks:  # moved: in the (rows, ...) stack
+            source = state.reshape(rows, *shape).transpose(moved)
+            target = states[1][:source.size].reshape(source.shape)
+            operand = target.reshape(rows, b, -1)
+            state = states[0][:rows * a * operand.shape[-1]].reshape(rows, a, -1)
+            views.append((j, pick, target, source, operand, state))
         return views
 
     def layers(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -639,9 +633,8 @@ def compile_noisy_layers(
         step_blocks += [blocks[i] for (i,) in steps[k:]]
         state = states[0][:rows * len(start)].reshape(rows, -1)
         state[:] = start  # the first contraction reads it; at depth 0 it is the state
-        for j, pick, copy, operand, out in route(rows):
-            if copy:
-                np.copyto(*copy)
+        for j, pick, target, source, operand, out in route(rows):
+            np.copyto(target, source)
             state = np.matmul(step_blocks[j][pick], operand, out=out)
         probs = np.clip(readout @ state.reshape(rows, -1, 1), 0.0, None)[..., 0]
         return probs / probs.sum(-1, keepdims=True)  # finite angles keep the trace 1

@@ -364,8 +364,6 @@ def aggregate_rows(records: list[RunRecord]) -> list[dict]:
 
 
 def write_aggregate_csv(rows: list[dict], path: str) -> None:
-    if not rows:
-        return
     header = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

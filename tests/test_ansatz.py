@@ -364,6 +364,8 @@ class TestEvolve:
             evolve(spec, toy.cost.ising, params, engine="exact", scale=toy.cost.scale)
         with pytest.raises(TypeError):
             evolve(spec, toy.cost.phase_diagonal, params, engine="gate", scale=toy.cost.scale)
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            evolve(spec, toy.cost.ising, params, engine="bogus", scale=toy.cost.scale)
 
     def test_exact_engine_rejects_gate_noise(self, toy):
         spec = AnsatzSpec.standard(6, 1)
