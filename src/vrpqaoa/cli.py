@@ -196,11 +196,12 @@ def run_single(
 
 #: Evaluator rows a sweep task aims at.  A task runs a chunk of one cell's seeds,
 #: whose restarts share each lockstep round's evaluator call, and a call's
-#: fixed cost is then spread over more rows.  On toy3 at depth 4 (one BLAS
-#: thread) the cost per row at 5 -> 20 rows falls from 20 to 15 us in regime I,
-#: from 140 to 118 us in regime III for standard QAOA and from 63 to 44 us for
-#: constraint-aware QAOA; past 20 rows the standard one rises again (152 us at
-#: 40 rows, 187 us at 150).
+#: fixed cost is then spread over more rows.  On toy3 at depth 4 (paper noise,
+#: one BLAS thread; median of 7 processes, each the best of 15 interleaved
+#: rounds of 10 calls) the cost per row at 5 -> 20 rows falls from 19 to 13 us
+#: in regime I, from 112 to 95 us in regime III for standard QAOA and from 53
+#: to 39 us for constraint-aware QAOA; past 20 rows the standard one rises
+#: again (118 us at 40 rows, 138 us at 150).
 CHUNK_ROWS = 20
 
 

@@ -93,21 +93,6 @@ class StateVector:
     def uniform(cls, n: int) -> "StateVector":
         return cls(n, np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex))
 
-    @classmethod
-    def from_support(cls, n: int, bitstrings: Sequence[str]) -> "StateVector":
-        """Equal-amplitude superposition over the given basis states."""
-        if not bitstrings:
-            raise ValueError("support must be nonempty")
-        amps = np.zeros(1 << n, dtype=complex)
-        amp = 1.0 / math.sqrt(len(bitstrings))
-        for bits in bitstrings:
-            if len(bits) != n or bits.strip("01"):
-                raise ValueError(f"support bitstring {bits!r} is not {n} binary digits")
-            if amps[int(bits, 2)]:
-                raise ValueError(f"support bitstring {bits!r} is repeated")
-            amps[int(bits, 2)] = amp
-        return cls(n, amps)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

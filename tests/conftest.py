@@ -23,6 +23,8 @@ PENALTY = 435.6
 #: adjacent qubits.
 GEN1 = VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
 
+ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles": 1}
+
 
 class _BudgetSpent(Exception):
     """Raised by :func:`reference_nelder_mead` once its budget is used."""
@@ -113,6 +115,16 @@ def toy():
 
 def all_bitstrings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(1 << n)]
+
+
+def textbook_support(spec) -> list[str]:
+    """The initial superposition of ``spec`` written out string by string: every
+    n-bit string whose substring on each component's qubits is its pattern or the
+    pattern's complement, in index order."""
+    flip = str.maketrans("01", "10")
+    admitted = [(c.qubits, (c.pattern, c.pattern.translate(flip))) for c in spec.components]
+    return [bits for bits in all_bitstrings(spec.n)
+            if all("".join(bits[q] for q in qubits) in either for qubits, either in admitted)]
 
 
 def penalty_sum_value(bits: str, inst: VrpInstance, constraints, penalty: float) -> float:

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import FEASIBLE, GEN1, X01, X02, X10, X12, X20, X21, textbook_qaoa
+from conftest import (FEASIBLE, GEN1, ONE_VEHICLE, X01, X02, X10, X12, X20, X21, textbook_qaoa,
+                      textbook_support)
 from vrpqaoa.ansatz import (
     AnsatzSpec,
     ConstraintComponent,
@@ -22,7 +23,7 @@ from vrpqaoa.ansatz import (
 from vrpqaoa.cli import NOISE_PRESETS, build_problem
 from vrpqaoa.encode import CostOperator
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance, build_constraints
-from vrpqaoa.optimize import ObjectiveKind, final_distribution
+from vrpqaoa.optimize import ObjectiveKind, compile_evaluator, final_distribution
 from vrpqaoa.simcore import (
     GateOp,
     NoiseModel,
@@ -96,17 +97,17 @@ class TestAnsatzSpec:
         assert spec.components == ()
         assert spec.x_qubits == tuple(range(6))
         assert spec.lam == 1.0
-        assert len(spec.support_bitstrings()) == 64
+        assert spec.support.shape == (64,) and spec.support.all()
 
     def test_constraint_aware_factory(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=2, lam=0.7)
-        assert spec.support_bitstrings() == TOY_SUPPORT
+        assert tuple(format(i, "06b") for i in np.flatnonzero(spec.support)) == TOY_SUPPORT
         assert spec.xy_pairs == ((X10, X12), (X20, X21))
         assert spec.x_qubits == (X01, X02)
 
     def test_constraint_aware_without_components_is_uniform(self):
         spec = AnsatzSpec.constraint_aware(ConstraintSet(n=3, constraints=()), 1, 0.5)
-        assert len(spec.support_bitstrings()) == 8
+        assert spec.support.shape == (8,) and spec.support.all()
         assert spec.x_qubits == (0, 1, 2)
 
     def test_overlapping_pairs_rejected(self):
@@ -151,6 +152,16 @@ class TestParameterPoint:
             assert all(0.0 <= b <= math.pi / 2 for b in point.beta)
 
 
+def assert_textbook_support(spec):
+    """``spec.support`` marks exactly the textbook strings, and the exact engine's start
+    holds 1/sqrt(count) on them, bit for bit."""
+    indices = [int(bits, 2) for bits in textbook_support(spec)]
+    assert np.array_equal(np.flatnonzero(spec.support), indices)
+    expected = np.zeros(1 << spec.n, dtype=complex)
+    expected[indices] = 1.0 / math.sqrt(len(indices))
+    assert spec._loaded_state.amplitudes.tobytes() == expected.tobytes()
+
+
 class TestInitialState:
     def test_standard_two_qubits(self):
         state = prepare_initial_state(AnsatzSpec.standard(2, 1))
@@ -164,6 +175,40 @@ class TestInitialState:
         assert FEASIBLE in nonzero
         for p in nonzero.values():
             assert p == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("instance", [
+        None,  # toy3
+        VrpInstance.from_dict(ONE_VEHICLE),
+        VrpInstance(distances=((0.0, 3.0), (4.0, 0.0)), vehicles=1),
+    ], ids=["toy3", "one_vehicle", "two_node"])
+    def test_support_is_the_textbook_support(self, toy, instance):
+        problem = toy if instance is None else build_problem(instance)
+        assert_textbook_support(AnsatzSpec.standard(problem.qubo.n, 1))
+        assert_textbook_support(AnsatzSpec.constraint_aware(problem.constraints, 1, 0.7))
+
+    def test_support_of_random_component_layouts(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            order, components, start = [int(q) for q in rng.permutation(n)], [], 0
+            while start < n:
+                size = int(rng.integers(1, n - start + 1))
+                if rng.random() < 0.6:  # otherwise these qubits stay free
+                    pattern = "".join(rng.choice(["0", "1"], size))
+                    components.append(ConstraintComponent(order[start:start + size], pattern))
+                start += size
+            assert_textbook_support(AnsatzSpec(n, 1, 0.5, (), components))
+
+    def test_support_is_a_shared_read_only_mask(self, toy):
+        spec = AnsatzSpec.constraint_aware(toy.constraints, depth=0, lam=0.7)
+        assert spec.support is spec.support
+        with pytest.raises(ValueError, match="read-only"):
+            spec.support[0] = True
+        start = spec.support / 2.0  # 1/sqrt(4) on toy3's four strings
+        prepare_initial_state(spec).amplitudes[:] = 0.0
+        assert np.array_equal(prepare_initial_state(spec).amplitudes, start)
+        probs = compile_evaluator(spec, toy.cost, ObjectiveKind("I"))(np.zeros((1, 0)))
+        assert np.array_equal(probs, [start**2])
 
     def test_norm_exact(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, depth=1, lam=0.7)

@@ -158,6 +158,7 @@ def test_loaded_initial_state_equals_recipe(case):
     loaded = prepare_initial_state(spec).amplitudes
     recipe = prepare_initial_state(spec, via_gates=True).amplitudes
     assert np.abs(loaded - recipe).max() <= 1e-12
+    assert np.array_equal(np.abs(recipe) > 1e-12, spec.support)
 
 
 @PROPERTY_SETTINGS

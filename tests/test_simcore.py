@@ -379,7 +379,7 @@ class TestMeasureDistribution:
         assert np.allclose(probs, 1.0 / 64.0, atol=1e-12)
 
     def test_basis_state_is_one_hot(self):
-        sv = StateVector.from_support(3, ["101"])
+        sv = StateVector(3, np.eye(8)[0b101])
         probs = measure_distribution(sv)
         expected = np.zeros(8)
         expected[0b101] = 1.0
