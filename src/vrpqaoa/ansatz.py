@@ -355,19 +355,22 @@ def compile_exact_layers(
     state per row.  Each layer is the cost phase, then the mixer in closed form
     through the spec's real eigenbasis, with no gate list.
 
-    The phases of all layers and rows come from two ``exp`` calls per call; the
-    mixer's only over the generator's few distinct eigenvalues (7 of 64 for
-    standard QAOA on 6 qubits), gathered back to 2^n.
+    The phases of all layers and rows are cos and sin of real angles (:func:`_phases`)
+    over distinct values only, gathered back to 2^n: the cost diagonal's levels
+    (51 of 64 on toy3) and the mixer generator's eigenvalues (7 of 64 for standard
+    QAOA on 6 qubits).  They have the bits of ``np.exp`` of the imaginary angles: the
+    cost angle is (-gamma level) * (1 / scale), as numpy divides a complex by a real
+    scale; ``/ scale``, or dividing the levels first, changes last bits.
     """
     eigen, basis = spec._mixer_basis
+    levels, level_index = np.unique(cost.diagonal, return_inverse=True)
     values, index = np.unique(eigen, return_inverse=True)
     start, p, dim = spec._loaded_state.amplitudes[:, None], spec.depth, 1 << spec.n
 
     def layers(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        # (p, rows) angles, (p, rows, 2^n) phases; (-1j * gamma) * diag, then / scale:
-        # dividing diag by scale first changes last bits
-        cost_phases = np.exp(np.multiply.outer(-1j * gammas.T, cost.diagonal) / scale)
-        mixer_phases = np.exp(np.multiply.outer(-1j * betas.T, values)).take(index, -1)
+        # (p, rows) angles, (p, rows, 2^n) phases
+        cost_phases = _phases(np.multiply.outer(-gammas.T, levels) * (1.0 / scale), level_index)
+        mixer_phases = _phases(np.multiply.outer(-betas.T, values), index)
         # The states are a (rows, 2^n, 1) complex stack, and each matmul takes its
         # (k, 2^n, 2) float view.  np.matmul runs one (2^n x 2^n)(2^n x 2) dgemm
         # per row, so every row has the bits of a single-state call; one wide
@@ -380,6 +383,14 @@ def compile_exact_layers(
         return (state if p else np.tile(start, (len(gammas), 1, 1))).reshape(-1, dim)
 
     return layers
+
+
+def _phases(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """exp(i angles) as one complex array of cos and sin, gathered on the last axis."""
+    out = np.empty(angles.shape, complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out.take(index, -1)
 
 
 def _combine(trig: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -198,10 +198,10 @@ def run_single(
 #: whose restarts share each lockstep round's evaluator call, and a call's
 #: fixed cost is then spread over more rows.  On toy3 at depth 4 (paper noise,
 #: one BLAS thread; median of 7 processes, each the best of 15 interleaved
-#: rounds of 10 calls) the cost per row at 5 -> 20 rows falls from 19 to 13 us
-#: in regime I, from 112 to 95 us in regime III for standard QAOA and from 53
-#: to 39 us for constraint-aware QAOA; past 20 rows the standard one rises
-#: again (118 us at 40 rows, 138 us at 150).
+#: rounds of 10 calls) the cost per row at 5 -> 20 rows falls from 14 to 9 us
+#: (standard) and 15 to 10 us (constraint-aware) in regime I, and in regime III
+#: from 112 to 95 us (standard) and 53 to 39 us (constraint-aware); past 20 rows
+#: the regime III standard one rises again (118 us at 40 rows, 138 us at 150).
 CHUNK_ROWS = 20
 
 

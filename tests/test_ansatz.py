@@ -473,6 +473,31 @@ class TestCompiledExactLayers:
                 evolved = evolve(spec, cost, params, scale=scale)
                 assert np.array_equal(evolved.amplitudes, expected)
 
+    @pytest.mark.parametrize("rows", [5, 20])
+    @pytest.mark.parametrize("instance", ["toy", "gen1_problem"])
+    def test_stacked_rows_at_box_edge_angles_match_the_loop(self, request, instance, rows):
+        # every row of a stacked call has the bits of the np.exp loop, at gamma = 0 too
+        problem = request.getfixturevalue(instance)
+        cost, scale = problem.cost.phase_diagonal, problem.cost.scale
+        rng = np.random.default_rng(rows)
+        for depth in (1, 2, 4):
+            for spec in (
+                AnsatzSpec.standard(cost.n, depth),
+                AnsatzSpec.constraint_aware(problem.constraints, depth, 0.5),
+            ):
+                gammas = rng.choice([-math.pi, 0.0, math.pi], (rows, depth))
+                betas = rng.choice([0.0, math.pi / 2], (rows, depth))
+                out = compile_exact_layers(spec, cost, scale)(gammas, betas)
+                for row, gamma, beta in zip(out, gammas, betas):
+                    params = ParameterPoint(tuple(gamma), tuple(beta))
+                    assert np.array_equal(row, layer_by_layer(spec, cost, scale, params))
+
+    def test_cost_phases_come_from_the_distinct_levels(self, toy, gen1_problem):
+        # toy3's 64 basis states share 51 cost levels, so the gather back to 2^n
+        # meets ties; gen(1)'s levels are all distinct
+        problems = (toy, gen1_problem)
+        assert [len(np.unique(pb.cost.phase_diagonal.diagonal)) for pb in problems] == [51, 64]
+
     def test_mixer_phases_come_from_the_distinct_eigenvalues(self, toy):
         # 7 distinct values for standard QAOA on 6 qubits, 15 for the hybrid mixer
         standard = AnsatzSpec.standard(6, 1)
