@@ -221,6 +221,26 @@ class AnsatzSpec:
             eigen += self.lam * (1 - 2 * _bit_column(n, q))
         return eigen, np.ascontiguousarray(basis.reshape(dim, dim))
 
+    @cached_property
+    def reachable(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis states the ansatz can reach at any angles, as masks over the 2^n
+        indices of the computational basis and of the mixer eigenbasis V (shared,
+        read-only): the fixed point of growing :attr:`support` through the nonzero
+        pattern of V, which maps each basis to the other.  Cost and mixer phases are
+        diagonal, so every amplitude outside the masks stays exactly 0.  Standard QAOA
+        reaches all 2^n; an XY pair keeps the Hamming-weight classes its start holds."""
+        links = self._mixer_basis[1] != 0  # symmetric, as V is
+        state = self.support
+        while True:
+            eigen = links @ state
+            grown = links @ eigen
+            if np.array_equal(grown, state):
+                break
+            state = grown
+        for mask in (state, eigen):
+            mask.flags.writeable = False
+        return state, eigen
+
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -356,15 +376,21 @@ def compile_exact_layers(
     through the spec's real eigenbasis, with no gate list.
 
     The phases of all layers and rows are cos and sin of real angles (:func:`_phases`)
-    over distinct values only, gathered back to 2^n: the cost diagonal's levels
-    (51 of 64 on toy3) and the mixer generator's eigenvalues (7 of 64 for standard
-    QAOA on 6 qubits).  They have the bits of ``np.exp`` of the imaginary angles: the
+    over distinct values only, gathered back to 2^n (:func:`_distinct`): the cost
+    diagonal's levels over the spec's :attr:`~AnsatzSpec.reachable` basis states and
+    the mixer generator's eigenvalues over its reachable eigen-indices.  Standard QAOA
+    reaches all 2^n (toy3: 51 cost levels, 7 eigenvalues); toy3's constraint-aware
+    spec reaches 16 states with 16 levels and 9 eigenvalues.  Every other index
+    gathers a reachable phase: its amplitude is an exact 0, which any finite phase
+    keeps 0, and the product with V adds it to no nonzero sum, so no output bit
+    changes.  The phases have the bits of ``np.exp`` of the imaginary angles: the
     cost angle is (-gamma level) * (1 / scale), as numpy divides a complex by a real
     scale; ``/ scale``, or dividing the levels first, changes last bits.
     """
     eigen, basis = spec._mixer_basis
-    levels, level_index = np.unique(cost.diagonal, return_inverse=True)
-    values, index = np.unique(eigen, return_inverse=True)
+    states, eigen_states = spec.reachable
+    levels, level_index = _distinct(cost.diagonal, states)
+    values, index = _distinct(eigen, eigen_states)
     start, p, dim = spec._loaded_state.amplitudes[:, None], spec.depth, 1 << spec.n
 
     def layers(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -383,6 +409,15 @@ def compile_exact_layers(
         return (state if p else np.tile(start, (len(gammas), 1, 1))).reshape(-1, dim)
 
     return layers
+
+
+def _distinct(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` under ``mask``, and per index the position of its value among
+    them; an index outside the mask gets position 0."""
+    distinct, inverse = np.unique(values[mask], return_inverse=True)
+    index = np.zeros(len(values), np.intp)
+    index[mask] = inverse
+    return distinct, index
 
 
 def _phases(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -495,9 +530,9 @@ def compile_noisy_layers(
     returns a fresh array, and takes one call at a time: each ``minimize`` call
     compiles its own.
 
-    Each lever's worth is the time per row without it at 20 rows (toy3, depth 4, paper
-    noise, one BLAS thread), standard then constraint-aware QAOA: trims 1.7x and 1.1x,
-    pair fold 1.1x, one call for all rows 2.2x and 3.4x, kept work arrays 1.5x and 2.2x.
+    Each lever (the trims, the pair fold, one call for all rows, the kept work arrays)
+    lowers the time per row at 20 rows; CHANGES.md's entry on one form for a density
+    matrix gives each one's factor.
     """
     mask = {g: _depolarizing_mask(GATES[g][0], (0, 1)[:GATES[g][0]], noise.channel_rate(g))
             for g in ("rzz", "ryy", "rxx", "rx", "rz")}  # each gate's channel, on its own qubits

@@ -196,12 +196,10 @@ def run_single(
 
 #: Evaluator rows a sweep task aims at.  A task runs a chunk of one cell's seeds,
 #: whose restarts share each lockstep round's evaluator call, and a call's
-#: fixed cost is then spread over more rows.  On toy3 at depth 4 (paper noise,
-#: one BLAS thread; median of 7 processes, each the best of 15 interleaved
-#: rounds of 10 calls) the cost per row at 5 -> 20 rows falls from 14 to 9 us
-#: (standard) and 15 to 10 us (constraint-aware) in regime I, and in regime III
-#: from 112 to 95 us (standard) and 53 to 39 us (constraint-aware); past 20 rows
-#: the regime III standard one rises again (118 us at 40 rows, 138 us at 150).
+#: fixed cost is then spread over more rows.  The cost per row falls from 5 to
+#: 20 rows in every regime and, for standard QAOA in regime III, rises again
+#: past 20 (the per-row timings are in CHANGES.md, in the entries on lockstep
+#: seeds and on exact-engine phases from cos and sin).
 CHUNK_ROWS = 20
 
 
@@ -262,11 +260,12 @@ def run_cells(
     return records
 
 
-#: Circuit depth used when a config does not specify one.  At p <= 2 the
-#: hybrid ansatz cannot move enough weight between the protected subspaces
-#: of this instance family to beat the standard mixer; p = 3 is the
-#: shallowest depth where its advantage appears, and p = 4 expresses it
-#: with low enough seed-to-seed variance for interval-separated comparisons.
+#: Circuit depth used when a config does not specify one.  In regime I on the
+#: bundled instance (30 seeds, lam 0.6 to 0.8) the hybrid ansatz beats the
+#: standard mixer on both measures only from p = 3: at p = 1 it has the higher
+#: optimal-state probability but the larger energy gap, and at p = 2 it is no
+#: better in either.  p = 4 expresses its advantage with low enough
+#: seed-to-seed variance for interval-separated comparisons.
 DEFAULT_DEPTH = 4
 
 

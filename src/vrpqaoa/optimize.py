@@ -333,8 +333,8 @@ def minimize(
     pending point in one stacked evaluator call, then scores the rows in (seed,
     restart) order, each with its restart's own stream, so every restart draws and
     steps exactly as it would alone.  A restart whose simplex converges leaves the
-    round.  The simplex bookkeeping costs about 40 µs per 5-row round and 85 µs per
-    20-row round (2-core Xeon, see README).  Restart winners of stochastic
+    round.  The simplex bookkeeping per round grows far less than the row count from
+    5 to 20 rows (measured in ``BENCH_26.json``).  Restart winners of stochastic
     objectives are compared by re-evaluating every candidate of a seed with that
     seed's one fixed evaluation stream (all seeds' candidates in one call), so the
     selection is reproducible and unbiased by per-restart sampling luck.  Every

@@ -22,6 +22,8 @@ PENALTY = 435.6
 #: The 1-vehicle instance ``perfbench.sweep.generate_instance(1)``, whose XY pairs are not
 #: adjacent qubits.
 GEN1 = VrpInstance(distances=((0.0, 43.3, 29.7), (44.5, 0.0, 57.4), (74.3, 50.8, 0.0)), vehicles=1)
+#: ``perfbench.sweep.generate_instance(3)``.
+GEN3 = VrpInstance(distances=((0.0, 41.8, 53.2), (62.6, 0.0, 32.1), (51.1, 59.2, 0.0)), vehicles=1)
 
 ONE_VEHICLE = {"distances": [[0, 40, 60], [55, 0, 45], [50, 70, 0]], "vehicles": 1}
 
@@ -157,6 +159,39 @@ def textbook_qaoa(cost, params) -> StateVector:
         for q in range(n):
             apply_gate(state, GateOp("rx", (q,), 2.0 * beta))
     return state
+
+
+def analytic_depth1_energy(ising, scale: float, gamma: float, beta: float) -> float:
+    """<C - c0> / s of standard QAOA at depth 1 in closed form, with no simulation: the
+    state e^{-i beta sum X} e^{-i gamma C / s} |+>^n for C - c0 = sum h_u Z_u + sum J_uv Z_u Z_v
+    and Z = +1 on bit 0 (Ozaeta, van Dam and McMahon, arXiv:2012.03421).  With h and J
+    divided by s, and products over w != u, v:
+
+        <Z_u>     = sin 2b sin 2g h_u prod_{w != u} cos 2g J_uw
+        <Z_u Z_v> = 1/2 sin 4b sin 2g J_uv [cos 2g h_u prod cos 2g J_uw + cos 2g h_v prod cos 2g J_vw]
+                    - 1/2 sin^2 2b [cos 2g (h_u + h_v) prod cos 2g (J_uw + J_vw)
+                                    - cos 2g (h_u - h_v) prod cos 2g (J_uw - J_vw)]
+    """
+    n = ising.n
+    h = np.array(ising.fields) / scale
+    coupling = np.zeros((n, n))
+    for (u, v), c in ising.couplings.items():
+        coupling[u, v] = coupling[v, u] = c / scale
+    g, b = 2.0 * gamma, 2.0 * beta
+    energy = 0.0
+    for u in range(n):
+        others = [w for w in range(n) if w != u]
+        energy += h[u] * math.sin(b) * math.sin(g * h[u]) * np.prod(np.cos(g * coupling[u, others]))
+    for u, v in itertools.combinations(range(n), 2):
+        others = [w for w in range(n) if w not in (u, v)]
+        ju, jv = coupling[u, others], coupling[v, others]
+        linear = 0.5 * math.sin(2.0 * b) * math.sin(g * coupling[u, v]) * (
+            math.cos(g * h[u]) * np.prod(np.cos(g * ju)) + math.cos(g * h[v]) * np.prod(np.cos(g * jv)))
+        quadratic = 0.5 * math.sin(b) ** 2 * (
+            math.cos(g * (h[u] + h[v])) * np.prod(np.cos(g * (ju + jv)))
+            - math.cos(g * (h[u] - h[v])) * np.prod(np.cos(g * (ju - jv))))
+        energy += coupling[u, v] * (linear - quadratic)
+    return float(energy)
 
 
 PAULI_MATRICES = (

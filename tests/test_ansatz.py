@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (FEASIBLE, GEN1, ONE_VEHICLE, X01, X02, X10, X12, X20, X21, textbook_qaoa,
-                      textbook_support)
+from conftest import (FEASIBLE, GEN1, GEN3, ONE_VEHICLE, X01, X02, X10, X12, X20, X21,
+                      analytic_depth1_energy, textbook_qaoa, textbook_support)
 from vrpqaoa.ansatz import (
     AnsatzSpec,
     ConstraintComponent,
@@ -47,6 +47,11 @@ def gen1():
 @pytest.fixture(scope="module")
 def gen1_problem():
     return build_problem(GEN1)
+
+
+@pytest.fixture(scope="module")
+def gen3_problem():
+    return build_problem(GEN3)
 
 
 def pattern_violation_probability(probs: np.ndarray, pairs) -> float:
@@ -504,6 +509,33 @@ class TestCompiledExactLayers:
         aware = AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7)
         assert [len(np.unique(s._mixer_basis[0])) for s in (standard, aware)] == [7, 15]
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_standard_qaoa_reaches_every_basis_state(self, n):
+        states, eigen_states = AnsatzSpec.standard(n, 2).reachable
+        assert states.shape == eigen_states.shape == (1 << n,)
+        assert states.all() and eigen_states.all()
+
+    def test_toy3_constraint_aware_phases_run_over_16_states(self, toy):
+        # 16 reachable states of 64 with 16 distinct cost levels, and 9 distinct
+        # eigenvalues over the 16 reachable eigen-indices (+-2 per pair, +-lam per X qubit)
+        spec = AnsatzSpec.constraint_aware(toy.constraints, 4, 0.7)
+        states, eigen_states = spec.reachable
+        assert [np.count_nonzero(states), np.count_nonzero(eigen_states)] == [16, 16]
+        assert len(np.unique(toy.cost.phase_diagonal.diagonal[states])) == 16
+        assert len(np.unique(spec._mixer_basis[0][eigen_states])) == 9
+        assert not (states.flags.writeable or eigen_states.flags.writeable)
+
+    def test_a_00_component_reaches_its_pairs_weight_0_and_2_class(self, toy):
+        # XY on (a, b) conserves x_a + x_b: a "00" start reaches 00 and 11 on that pair,
+        # never 01 or 10; the other pair starts uniform, so it reaches all four
+        pairs = AnsatzSpec.constraint_aware(toy.constraints, 1, 0.7).xy_pairs
+        a, b = pairs[0]
+        spec = AnsatzSpec(6, 2, 0.6, pairs, (ConstraintComponent((a, b), "00"),))
+        states = spec.reachable[0]
+        bits = [format(i, "06b") for i in range(64)]
+        assert [i for i in range(64) if states[i]] == [
+            i for i, x in enumerate(bits) if x[a] == x[b]]
+
     def test_depth_zero_returns_a_copy_of_the_initial_state(self, toy):
         spec = AnsatzSpec.constraint_aware(toy.constraints, 0, 0.7)
         layers = compile_exact_layers(spec, toy.cost.phase_diagonal, toy.cost.scale)
@@ -545,3 +577,25 @@ class TestCircuitDump:
     def test_init_circuit_for_uniform_ansatz(self):
         ops = init_circuit(AnsatzSpec.standard(4, 1))
         assert [op.name for op in ops] == ["h"] * 4
+
+
+class TestAnalyticDepthOne:
+    """Standard QAOA at depth 1 against the closed form of ``analytic_depth1_energy``, so
+    an angle convention shared by the phase diagonal and the gate recipes cannot pass."""
+
+    @pytest.mark.parametrize("instance", ["toy", "gen1_problem", "gen3_problem"])
+    def test_regime_one_energy_matches_the_closed_form(self, request, instance):
+        problem = request.getfixturevalue(instance)
+        cost = problem.cost
+        spec = AnsatzSpec.standard(cost.ising.n, 1)
+        evaluator = compile_evaluator(spec, cost, ObjectiveKind("I"))
+        rng = np.random.default_rng(15)
+        edges = [(0.0, 0.0), (math.pi, math.pi / 2), (-math.pi, math.pi / 4)]
+        for gamma, beta in edges + [(rng.uniform(-math.pi, math.pi), rng.uniform(0, math.pi / 2))
+                                    for _ in range(40)]:
+            expected = analytic_depth1_energy(cost.ising, cost.scale, gamma, beta)
+            point = ParameterPoint((gamma,), (beta,))
+            amplitudes = evolve(spec, cost.phase_diagonal, point, scale=cost.scale).amplitudes
+            for probs in (evaluator([gamma, beta]), np.abs(amplitudes) ** 2):
+                energy = probs @ cost.phase_diagonal.diagonal / cost.scale
+                assert energy == pytest.approx(expected, abs=1e-12)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_nelder_mead, textbook_noisy_distribution
-from test_ansatz import pattern_violation_probability
+from conftest import analytic_depth1_energy, reference_nelder_mead, textbook_noisy_distribution
+from test_ansatz import layer_by_layer, pattern_violation_probability
 from vrpqaoa.ansatz import (
     BETA_BOUNDS,
     GAMMA_BOUNDS,
@@ -24,11 +24,14 @@ from vrpqaoa.ansatz import (
     ConstraintComponent,
     InfeasibleStructureError,
     ParameterPoint,
+    compile_exact_layers,
     derive_constraint_groups,
     evolve,
     prepare_initial_state,
 )
 from vrpqaoa.cli import NOISE_PRESETS, build_problem
+from vrpqaoa.encode import (CONVENTION_B, CompiledCost, CostOperator, IsingCoefficients,
+                            default_energy_scale)
 from vrpqaoa.instance import EQUAL, ConstraintSet, LinearConstraint, VrpInstance
 from vrpqaoa.optimize import ObjectiveKind, compile_evaluator, final_distribution, simplex_rounds
 from vrpqaoa.simcore import NoiseModel, apply_readout_confusion, measure_distribution
@@ -299,6 +302,75 @@ def test_noiseless_evaluator_is_the_exact_engine(case, regime, p01, p10):
     kind = ObjectiveKind(regime, NoiseModel(p01=p01, p10=p10) if regime == "III" else None)
     probs = compile_evaluator(spec, problem.cost, kind)(point.as_vector())
     assert np.array_equal(probs, final_distribution(spec, problem.cost, point, kind))
+
+
+@st.composite
+def edge_params(draw, depth):
+    """Angles on the corners of the box, where phases are +-1 and amplitudes cancel."""
+    return ParameterPoint(
+        gamma=tuple(draw(st.sampled_from([-math.pi, 0.0, math.pi])) for _ in range(depth)),
+        beta=tuple(draw(st.sampled_from(BETA_BOUNDS)) for _ in range(depth)),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 5, 20])
+@pytest.mark.parametrize("family", [cases(max_depth=4), pair_cases(), component_cases(max_depth=4)],
+                         ids=["ansaetze", "pairs", "components"])
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.data())
+def test_every_row_of_a_stacked_exact_call_is_the_layer_by_layer_loop(family, rows, data):
+    """Phases taken over the reachable basis states only keep every bit of the loop that
+    takes them over all 2^n, for every start the family allows and at box-edge angles."""
+    problem, spec, _ = data.draw(family)
+    cost, scale = problem.cost.phase_diagonal, problem.cost.scale
+    points = [data.draw(params(spec.depth) | edge_params(spec.depth)) for _ in range(rows)]
+    out = compile_exact_layers(spec, cost, scale)(
+        np.array([point.gamma for point in points]), np.array([point.beta for point in points]))
+    for point, row in zip(points, out):
+        assert np.array_equal(row, layer_by_layer(spec, cost, scale, point))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cases(max_depth=4), pair_cases(), component_cases(max_depth=4)))
+def test_amplitudes_outside_the_reachable_masks_are_exactly_zero(case):
+    """The loop over all 2^n phases leaves exact zeros outside ``spec.reachable``, in the
+    computational basis and in the mixer eigenbasis."""
+    problem, spec, point = case
+    amplitudes = layer_by_layer(spec, problem.cost.phase_diagonal, problem.cost.scale, point)
+    states, eigen_states = spec.reachable
+    assert states[spec.support].all()
+    assert not amplitudes[~states].any()
+    assert not (spec._mixer_basis[1] @ amplitudes)[~eigen_states].any()
+
+
+@st.composite
+def ising_costs(draw):
+    """A cost sum h_u Z_u + sum J_uv Z_u Z_v + c0 on 1 to 6 qubits, Z = +1 on bit 0, with
+    its diagonal written out from h and J."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    coefficient = st.integers(min_value=-100, max_value=100).map(lambda tenths: tenths / 10)
+    fields = tuple(draw(coefficient) for _ in range(n))
+    couplings = {pair: draw(coefficient) for pair in itertools.combinations(range(n), 2)
+                 if draw(st.booleans())}
+    ising = IsingCoefficients(n, draw(coefficient), fields, couplings, CONVENTION_B)
+    spins = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    phase = spins @ np.array(fields) + sum(c * spins[:, u] * spins[:, v]
+                                           for (u, v), c in couplings.items())
+    return CompiledCost(ising, CostOperator(n, phase + ising.constant), CostOperator(n, phase),
+                        default_energy_scale(ising))
+
+
+@PROPERTY_SETTINGS
+@given(ising_costs(), st.floats(*GAMMA_BOUNDS), st.floats(*BETA_BOUNDS))
+def test_depth_one_energy_matches_the_closed_form_on_any_ising_cost(cost, gamma, beta):
+    spec = AnsatzSpec.standard(cost.ising.n, 1)
+    expected = analytic_depth1_energy(cost.ising, cost.scale, gamma, beta)
+    point = ParameterPoint((gamma,), (beta,))
+    amplitudes = evolve(spec, cost.phase_diagonal, point, scale=cost.scale).amplitudes
+    for probs in (compile_evaluator(spec, cost, ObjectiveKind("I"))([gamma, beta]),
+                  np.abs(amplitudes) ** 2):
+        energy = probs @ cost.phase_diagonal.diagonal / cost.scale
+        assert energy == pytest.approx(expected, abs=1e-12)
 
 
 @PROPERTY_SETTINGS
