@@ -323,7 +323,7 @@ class ExperimentConfig:
             if key in keys or label in keys:
                 raise ValueError(f"lambda {lam!r} is repeated")
             keys.update((key, label))
-        self.lambdas = tuple(float(lam) for lam in self.lambdas)
+        self.lambdas = tuple(float(lam) + 0.0 for lam in self.lambdas)  # -0.0 + 0.0 is 0.0
         self.seeds = tuple(self.seeds)
 
     def cells(self) -> list[tuple[str, float | None]]:

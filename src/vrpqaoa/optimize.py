@@ -85,8 +85,9 @@ def compile_evaluator(spec: AnsatzSpec, cost: CompiledCost, kind: ObjectiveKind)
     ``probs`` is the one reader of an angle batch: it checks the width, rejects an
     empty batch and any non-finite angle before an engine runs, hands the engine
     (rows, p) gammas and betas, and shapes the result back.  Both engines evolve every
-    row in one call: the exact engine's loop, or under gate noise the compiled noisy
-    layers and read-out, whose reference is :func:`final_distribution`'s gate engine.
+    row in one call: the exact engine's loop, then any readout confusion, or under gate
+    noise the compiled noisy layers and read-out, whose reference is
+    :func:`final_distribution`'s gate engine.
     ``probs`` returns fresh arrays; under gate noise it reuses its work arrays from
     call to call, so it takes one call at a time, and each :func:`minimize` call
     compiles its own."""

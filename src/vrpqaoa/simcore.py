@@ -314,6 +314,11 @@ def apply_readout_confusion(probs: np.ndarray, p01: float, p10: float) -> np.nda
     """Push a distribution through independent per-qubit bit-flip confusion."""
     probs = np.asarray(probs, dtype=float)
     n = _qubit_count(probs)
+    bad = probs[~(np.isfinite(probs) & (probs >= 0))]
+    if bad.size:
+        raise ValueError(f"probabilities must be finite and >= 0, got {bad[0]}")
+    if not probs.sum() > 0:
+        raise ValueError("probabilities sum to 0")
     if p01 == 0.0 and p10 == 0.0:
         return probs.copy()
     _check_rate("p01", p01, 0.5)

@@ -624,6 +624,21 @@ class TestCommandLine:
         record = json.loads((out_dir / "runs" / "constraint_aware_lam1_seed0.json").read_text())
         assert record["lambda"] == 1.0 and isinstance(record["lambda"], float)
 
+    def test_negative_zero_lambda_writes_the_zero_lambda_tree(self, tmp_path):
+        """derive_run_seed keys -0 and 0 alike, so they are one lambda, labelled "0"."""
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"optimizer": FAST_OPT}))
+        trees = []
+        for text in ("-0", "0"):
+            assert main([
+                "run", "--config", str(config_path), "--instance", toy_instance_path(),
+                "--lambda", text, "--ansatz", "constraint_aware", "--seeds", "1", "--p", "1",
+                "--out", str(tmp_path / text),
+            ]) == 0
+            trees.append(tree_bytes(tmp_path / text))
+        assert trees[0] == trees[1]
+        assert "runs/constraint_aware_lam0_seed0.json" in trees[0]
+
     def test_seed_and_lambda_parsing(self, tmp_path):
         parser = build_parser()
         args = parser.parse_args([

@@ -481,6 +481,20 @@ class TestObjective:
                 lambda toy: apply_readout_confusion(np.array([1.0, 0.0]), math.nan, 0.0),
                 "p01 must be a finite real number, got nan",
             ),
+            *(
+                (
+                    lambda toy, probs=probs, rates=rates: apply_readout_confusion(
+                        np.array(probs), *rates),
+                    message,
+                )
+                for probs, message in (
+                    ([math.nan, 1.0], "probabilities must be finite and >= 0, got nan"),
+                    ([0.5, math.inf], "probabilities must be finite and >= 0, got inf"),
+                    ([-0.1, 0.6, 0.5, 0.0], "probabilities must be finite and >= 0, got -0.1"),
+                    ([0.0, 0.0], "probabilities sum to 0"),
+                )
+                for rates in ((0.1, 0.05), (0.0, 0.0))
+            ),
             (lambda toy: sample([0.5, 0.5], 10.5, 0), "shots must be a whole number, got 10.5"),
             (lambda toy: sample([0.5, 0.5], True, 0), "shots must be a whole number, got True"),
             (

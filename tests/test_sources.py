@@ -1,12 +1,13 @@
-"""The package sources state no timing figure: a measured time or speed-up lives in
-the BENCH file or CHANGES.md entry that measured it, and code cites that instead of
-restating a number that the next speed change would leave stale."""
+"""The package sources and README state no timing figure: a measured time or speed-up
+lives in the BENCH file or CHANGES.md entry that measured it, and code and README cite
+that instead of restating a number that the next speed change would leave stale."""
 import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "vrpqaoa").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [*sorted((ROOT / "src" / "vrpqaoa").glob("*.py")), ROOT / "README.md"]
 
 #: A number followed by a time unit (µs, us, ms), an N.Nx speed multiplier, or a CPU name.
 TIMING_FIGURE = re.compile(
